@@ -91,8 +91,9 @@ def _load_base_design(benchmark: str, scale: float, seed: int):
 
     The historical experiment loop loaded each benchmark once for all its
     cells; jobs restore that economy through this cache.  Sharing is safe
-    because lockers deep-copy the design before mutating (``in_place``
-    defaults to False).
+    because nothing mutates the shared design: a job's locker returns a
+    locked copy (``in_place`` defaults to False), and the attack's relocking
+    rounds mutate only that job-owned locked target and always roll it back.
     """
     from ..bench import load_benchmark
 

@@ -7,8 +7,10 @@ of those new key bits become labelled training samples (Fig. 2 of the paper,
 "Relocking" / "Extraction" steps).
 
 The paper relocks with *random* ASSURE selection "so that all parts of the
-design were used for learning"; :class:`TrainingSetBuilder` follows that
-default but accepts any locker with a ``lock``/``relock`` interface.
+design were used for learning"; :class:`TrainingSetBuilder` does the same.
+Each round locks the target in place and rolls the locks back afterwards
+through the :class:`~repro.locking.base.LockingSession` undo stack, so the
+loop never copies the design.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ _log = logging.getLogger(__name__)
 
 @dataclass
 class TrainingSet:
-    """Labelled localities assembled from relocked copies of the target."""
+    """Labelled localities assembled from relocking rounds of the target."""
 
     features: np.ndarray
     labels: np.ndarray
@@ -81,12 +83,16 @@ class TrainingSetBuilder:
               ) -> TrainingSet:
         """Relock ``target`` ``rounds`` times and extract labelled localities.
 
+        Each round relocks ``target`` in place, extracts the localities of
+        the round's new key bits and rolls the locks back through the
+        session's undo stack, so no round copies the design.  ``target`` is
+        left exactly as it was — also when extraction raises — but it must
+        not be read by anyone else while ``build`` runs.
+
         Simulation-backed feature sets (``behavioral``) evaluate all of a
         round's fresh key bits as lanes of a single bit-parallel key sweep
         (:func:`repro.locking.metrics.key_bit_sensitivity`), one pass per
-        relocked copy instead of one pass per key bit; the relocked copy's
-        plan comes from the process-wide cache shared with the deployment
-        and validation steps.
+        relocked design instead of one pass per key bit.
 
         Args:
             target: The locked design to self-reference against.
@@ -114,10 +120,17 @@ class TrainingSetBuilder:
                 rng=random.Random(self.rng.getrandbits(64)),
                 track_metrics=False,
             )
-            relocked = locker.relock(target, key_budget=budget)
-            new_indices = range(original_width, relocked.design.key_width)
-            features, labels = self.extractor.extract_matrix(
-                relocked.design, key_indices=list(new_indices))
+            # Lock the target itself, read this round's localities, then
+            # undo every lock: a fresh session per round sees exactly the
+            # design (and builds exactly the ODT) a copy would have.
+            session = locker.open_session(target)
+            try:
+                locker.lock_session(session, key_budget=budget)
+                features, labels = self.extractor.extract_matrix(
+                    target, key_indices=list(range(original_width,
+                                                   target.key_width)))
+            finally:
+                session.rollback()
             feature_blocks.append(features)
             label_blocks.append(labels)
             if progress is not None:

@@ -78,10 +78,39 @@ class AssureLocker:
         Raises:
             ValueError: for a negative key budget.
         """
+        target = design if in_place else design.copy()
+        return self.lock_session(self.open_session(target), key_budget)
+
+    def relock(self, design: Design, key_budget: int,
+               in_place: bool = False) -> LockResult:
+        """Relock an already locked design (self-referencing, Fig. 2).
+
+        This is plain :meth:`lock` applied to a locked design: the candidate
+        set then contains both real and dummy operations, which is exactly
+        what the attacker exploits/contends with when building the training
+        set.
+        """
+        return self.lock(design, key_budget, in_place=in_place)
+
+    def open_session(self, design: Design) -> LockingSession:
+        """Open a session on ``design`` (mutated in place) that uses this
+        locker's pair table and random source."""
+        return LockingSession(design, pair_table=self.pair_table, rng=self.rng)
+
+    def lock_session(self, session: LockingSession,
+                     key_budget: int) -> LockResult:
+        """Lock ``key_budget`` operations of the design ``session`` owns.
+
+        The body of :meth:`lock`.  The caller owns the session, so it can
+        :meth:`~LockingSession.rollback` the locks afterwards — the SnapShot
+        training loop relocks its target this way instead of copying it.
+
+        Raises:
+            ValueError: for a negative key budget.
+        """
         if key_budget < 0:
             raise ValueError("key budget must be non-negative")
-        target = design if in_place else design.copy()
-        session = LockingSession(target, pair_table=self.pair_table, rng=self.rng)
+        target = session.design
         tracker = MetricTracker(session.odt.vector()) if self.track_metrics else None
 
         candidates = self._ordered_candidates(session)
@@ -112,17 +141,6 @@ class AssureLocker:
                 "candidate_operations": float(len(candidates)),
             },
         )
-
-    def relock(self, design: Design, key_budget: int,
-               in_place: bool = False) -> LockResult:
-        """Relock an already locked design (self-referencing, Fig. 2).
-
-        This is plain :meth:`lock` applied to a locked design: the candidate
-        set then contains both real and dummy operations, which is exactly
-        what the attacker exploits/contends with when building the training
-        set.
-        """
-        return self.lock(design, key_budget, in_place=in_place)
 
     # ----------------------------------------------------- selection strategies
 
@@ -156,7 +174,7 @@ class AssureLocker:
         if max_constants < 0:
             raise ValueError("max_constants must be non-negative")
         target = design if in_place else design.copy()
-        session = LockingSession(target, pair_table=self.pair_table, rng=self.rng)
+        session = self.open_session(target)
         existing_bits = len(target.key_bits)
         bits_used = 0
         locked = 0
@@ -185,7 +203,7 @@ class AssureLocker:
         if max_branches < 0:
             raise ValueError("max_branches must be non-negative")
         target = design if in_place else design.copy()
-        session = LockingSession(target, pair_table=self.pair_table, rng=self.rng)
+        session = self.open_session(target)
         existing_bits = len(target.key_bits)
         bits_used = 0
         locked = 0

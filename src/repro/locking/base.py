@@ -8,7 +8,9 @@
 * the live :class:`~repro.locking.odt.OperationDistributionTable`,
 * the key-bit records and the key input port of the design,
 * an undo stack so heuristics can tentatively apply a lock, evaluate the
-  security metric and roll back (Algorithm 4, line 17).
+  security metric and roll back (Algorithm 4, line 17), and so the SnapShot
+  training loop can relock its target in place and :meth:`rollback
+  <LockingSession.rollback>` each round instead of copying the design.
 
 Three locking primitives are provided, mirroring ASSURE's three techniques:
 
@@ -39,9 +41,13 @@ class LockingError(RuntimeError):
     """Raised when a locking primitive cannot be applied."""
 
 
-@dataclass
+@dataclass(eq=False)
 class OpRef:
     """A live reference to one operation node inside the design being locked.
+
+    References compare by identity: the registry holds exactly one reference
+    per node, and value equality would make every registry removal compare
+    AST subtrees.
 
     Attributes:
         node: The :class:`~repro.verilog.ast_nodes.BinaryOp` node.
@@ -391,6 +397,15 @@ class LockingSession:
             if not self.actions:
                 raise LockingError("no actions left to undo")
             self.undo(self.actions[-1])
+
+    def rollback(self) -> None:
+        """Undo every action of the session (most recent first).
+
+        Afterwards the design's AST, key records and key port are those the
+        session started from.  The ODT's affected-pair marks are not undone,
+        so a rolled-back session should be discarded rather than reused.
+        """
+        self.undo_last(len(self.actions))
 
 
 def _negate_condition(cond: ast.Expression) -> ast.Expression:

@@ -17,6 +17,7 @@ dummy type ``T'`` that ASSURE inserts next to it.  Two tables are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from ..rtlir.operations import LOCKABLE_OPERATORS, normalize_operator
@@ -99,21 +100,34 @@ class PairTable:
         ERA and HRA (Algorithm 3/4).  For an asymmetric table every ordered
         entry contributes its unordered pair once.
         """
-        seen: Dict[frozenset, Tuple[str, str]] = {}
-        for real, dummy in self.mapping.items():
-            key = frozenset((real, dummy))
-            if key not in seen:
-                seen[key] = (real, dummy)
-        return list(seen.values())
+        return list(dict.fromkeys(self._pair_index.values()))
 
     def pair_of(self, op: str) -> Tuple[str, str]:
-        """Return the unordered pair that ``op`` belongs to (as ordered tuple)."""
+        """Return the unordered pair that ``op`` belongs to (as ordered tuple).
+
+        Raises:
+            PairingError: when the operator has no pairing.
+        """
         op = normalize_operator(op)
-        dummy = self.dummy_of(op)
-        for first, second in self.unordered_pairs():
-            if {first, second} == {op, dummy}:
-                return (first, second)
-        return (op, dummy)
+        try:
+            return self._pair_index[op]
+        except KeyError as exc:
+            raise PairingError(f"operator {op!r} has no locking pair in table "
+                               f"{self.name!r}") from exc
+
+    @cached_property
+    def _pair_index(self) -> Dict[str, Tuple[str, str]]:
+        """``real operator -> its unordered pair``, built once per table.
+
+        Each pair is the ``(real, dummy)`` entry that first mentions its two
+        operators, so :meth:`unordered_pairs` keeps the table's order.
+        """
+        seen: Dict[frozenset, Tuple[str, str]] = {}
+        index: Dict[str, Tuple[str, str]] = {}
+        for real, dummy in self.mapping.items():
+            index[real] = seen.setdefault(frozenset((real, dummy)),
+                                          (real, dummy))
+        return index
 
 
 def make_symmetric(pairs: Iterable[Tuple[str, str]], name: str) -> PairTable:

@@ -9,8 +9,7 @@ sweep value-numbering, lowering, dead-step pruning), and a thin executor
 bit-parallel pass, S×V sweep lanes per pass with point-invariant steps
 hoisted to the V-lane base batch, or a single lane for the scalar engine.
 
-The long-standing import surface (``repro.sim.batch``) re-exports everything
-below unchanged.
+Import these names from :mod:`repro.sim` or from this package.
 """
 
 from .executor import (

@@ -2,12 +2,12 @@
 
 Every attack-side hot loop — equivalence checks, corruption metrics, KPA
 sweeps, SnapShot's functional validation — used to recompile the same design
-into an :class:`~repro.sim.batch.EvalPlan` on every call.  Plans are pure
+into an :class:`~repro.sim.plan.steps.EvalPlan` on every call.  Plans are pure
 functions of the netlist content, so this module caches them process-wide,
 keyed by :meth:`Design.fingerprint() <repro.rtlir.design.Design.fingerprint>`:
 
-* independent copies of the same design (e.g. the per-round deep copies the
-  relocking loop produces from one target) share a single compilation,
+* independent copies of the same design share a single compilation, and so
+  does a design that a relocking round mutates and rolls back,
 * a *mutated* design gets a new fingerprint and therefore a fresh plan — the
   stale entry simply ages out of the LRU.  Fingerprints auto-refresh on
   locking-style mutation (key bits or module items added, source replaced);

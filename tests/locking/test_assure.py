@@ -179,3 +179,32 @@ class TestMetricsTracking:
     def test_summary_mentions_algorithm(self, mixer_design, rng):
         result = AssureLocker("serial", rng=rng).lock(mixer_design, key_budget=3)
         assert "assure-serial" in result.summary()
+
+
+class TestLockSession:
+    def test_lock_session_matches_lock(self, mixer_design):
+        copied = AssureLocker("random", rng=random.Random(4)).lock(
+            mixer_design, 3)
+        locker = AssureLocker("random", rng=random.Random(4))
+        in_place = locker.lock_session(locker.open_session(mixer_design), 3)
+        assert in_place.design is mixer_design
+        assert mixer_design.to_verilog() == copied.design.to_verilog()
+        assert in_place.statistics == copied.statistics
+
+    def test_rolled_back_session_restores_design(self, mixer_design):
+        target = AssureLocker("serial", rng=random.Random(1)).lock(
+            mixer_design, 3).design
+        text = target.to_verilog()
+        locker = AssureLocker("random", rng=random.Random(2))
+        session = locker.open_session(target)
+        result = locker.lock_session(session, 3)
+        assert target.key_width == 6
+        assert [bit.index for bit in result.new_key_bits] == [3, 4, 5]
+        session.rollback()
+        assert target.to_verilog() == text
+        assert target.key_width == 3
+
+    def test_negative_budget_rejected(self, mixer_design):
+        locker = AssureLocker()
+        with pytest.raises(ValueError):
+            locker.lock_session(locker.open_session(mixer_design), -1)

@@ -5,7 +5,8 @@ import random
 import pytest
 
 import repro.sim
-from repro.locking import AssureLocker, avalanche_sensitivity
+from repro.bench import load_benchmark
+from repro.locking import AssureLocker, ERALocker, avalanche_sensitivity
 from repro.locking.metrics import AvalancheReport
 from repro.rtlir import Design
 from repro.sim import BatchCompileError
@@ -146,3 +147,30 @@ class TestMetricRegistration:
         assert report.executed == 1
         (record,) = store.metric_values("avalanche")
         assert record["result"]["per_bit"]
+
+
+class TestCorrectKeyContract:
+    """Under the correct key a locked design *is* the original design.
+
+    So its avalanche profile cannot depend on the locker: the number is a
+    property of the benchmark, which is why an avalanche term in a locker
+    fitness is constant by construction.
+    """
+
+    @pytest.mark.parametrize("bench_name", ["FIR", "IIR", "RSA"])
+    @pytest.mark.parametrize("locker", ["assure", "era"])
+    def test_locked_avalanche_equals_unlocked(self, bench_name, locker):
+        design = load_benchmark(bench_name, scale=0.3, seed=6)
+        budget = max(1, design.num_operations() * 3 // 4)
+        if locker == "assure":
+            locked = AssureLocker("serial", rng=random.Random(1)).lock(
+                design, budget).design
+        else:
+            locked = ERALocker(rng=random.Random(1)).lock(design,
+                                                          budget).design
+        assert locked.key_width > 0
+        unlocked = avalanche_sensitivity(design, vectors=16,
+                                         rng=random.Random(0))
+        assert unlocked.mean_sensitivity > 0.0
+        assert avalanche_sensitivity(locked, vectors=16,
+                                     rng=random.Random(0)) == unlocked

@@ -1,5 +1,6 @@
 """Unit tests for the core locking primitives (LockingSession)."""
 
+import dataclasses
 import random
 
 import pytest
@@ -217,6 +218,27 @@ class TestUndo:
     def test_undo_with_nothing_to_undo(self, session):
         with pytest.raises(LockingError):
             session.undo_last(1)
+
+    def test_rollback_undoes_every_action(self, mixer_design, rng):
+        original = mixer_design.to_verilog()
+        session = LockingSession(mixer_design, rng=rng)
+        session.add_pair(session.ops_of_type("+")[0])
+        session.add_pair(session.ops_of_type("*")[0])
+        branch = [n for n in mixer_design.top.iter_tree()
+                  if isinstance(n, ast.IfStatement)][0]
+        session.lock_branch(branch)
+        session.rollback()
+        assert session.actions == []
+        assert mixer_design.to_verilog() == original
+        assert mixer_design.key_port is None
+        session.rollback()  # nothing left: a no-op
+
+    def test_op_refs_compare_by_identity(self, session):
+        first, second = session.ops_of_type("+")[:2]
+        twin = dataclasses.replace(first)
+        assert first == first
+        assert first != twin
+        assert first != second
 
 
 class TestRelockingSessions:

@@ -67,6 +67,14 @@ class TestOriginalTable:
         assert "<<" not in leaks
         assert "==" not in leaks
 
+    def test_pair_of_follows_each_operators_own_entry(self):
+        # '+' is both the real side of (+, -) and the dummy side of (*, +);
+        # its own pair is the one its table entry names.
+        assert ORIGINAL_ASSURE_TABLE.pair_of("+") == ("+", "-")
+        assert ORIGINAL_ASSURE_TABLE.pair_of("-") == ("+", "-")
+        assert ORIGINAL_ASSURE_TABLE.pair_of("*") == ("*", "+")
+        assert ("*", "+") in ORIGINAL_ASSURE_TABLE.unordered_pairs()
+
 
 class TestTableConstruction:
     def test_unknown_operator_rejected(self):
@@ -85,6 +93,8 @@ class TestTableConstruction:
         table = make_symmetric([("+", "-")], name="tiny")
         with pytest.raises(PairingError):
             table.dummy_of("*")
+        with pytest.raises(PairingError):
+            table.pair_of("*")
 
     def test_supported_operators(self):
         table = make_symmetric([("+", "-"), ("<<", ">>")], name="tiny")
