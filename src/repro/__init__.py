@@ -14,7 +14,7 @@ Quick start::
     from repro.locking import ERALocker
     from repro.attacks import SnapShotAttack
 
-    design = load_benchmark("MD5", scale=0.2)
+    design = load_benchmark("MD5", scale=0.2)  # seed 0 by default
     locked = ERALocker(rng=random.Random(0)).lock(
         design, key_budget=int(0.75 * design.num_operations()))
     result = SnapShotAttack(rounds=20).attack(locked.design)

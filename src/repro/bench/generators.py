@@ -78,7 +78,7 @@ def _homogeneous_network(operators: Sequence[str], n_operations: int, width: int
     return Design.from_verilog("\n".join(lines) + "\n", name=name)
 
 
-def profile_design(profile: BenchmarkProfile, seed: Optional[int] = None,
+def profile_design(profile: BenchmarkProfile, seed: int = 0,
                    name: Optional[str] = None) -> Design:
     """Generate a synthetic design following an operation profile.
 
@@ -93,7 +93,8 @@ def profile_design(profile: BenchmarkProfile, seed: Optional[int] = None,
     Args:
         profile: The operation profile to realise.
         seed: Seed for operand/operator interleaving (the census itself is
-            deterministic and always matches the profile exactly).
+            deterministic and always matches the profile exactly).  The
+            default is fixed, so the same call always gives the same design.
         name: Module name override.
 
     Raises:

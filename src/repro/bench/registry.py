@@ -38,7 +38,7 @@ def get_profile(name: str) -> BenchmarkProfile:
 
 
 def load_benchmark(name: str, scale: float = 1.0,
-                   seed: Optional[int] = None) -> Design:
+                   seed: int = 0) -> Design:
     """Instantiate a benchmark design.
 
     Args:
@@ -47,6 +47,7 @@ def load_benchmark(name: str, scale: float = 1.0,
             full-size design; smaller values produce profile-faithful reduced
             designs for quick experiments and tests.
         seed: Generation seed (affects dataflow interleaving, not the census).
+            The default is fixed, so the same call always gives the same design.
 
     Raises:
         UnknownBenchmarkError: for unknown names.
@@ -70,13 +71,13 @@ def load_benchmark(name: str, scale: float = 1.0,
 
 
 def load_suite(names: Optional[List[str]] = None, scale: float = 1.0,
-               seed: Optional[int] = None) -> Dict[str, Design]:
+               seed: int = 0) -> Dict[str, Design]:
     """Load a dictionary of benchmark designs.
 
     Args:
         names: Benchmarks to load (default: the full evaluation suite).
         scale: Scale factor passed to :func:`load_benchmark`.
-        seed: Generation seed.
+        seed: Generation seed (fixed by default, like :func:`load_benchmark`).
     """
     return {name: load_benchmark(name, scale=scale, seed=seed)
             for name in (names or benchmark_names())}

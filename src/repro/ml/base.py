@@ -138,9 +138,9 @@ def one_hot(encoded: np.ndarray, n_classes: int) -> np.ndarray:
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Numerically stable softmax over the last axis."""
-    shifted = logits - np.max(logits, axis=-1, keepdims=True)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     exponentials = np.exp(shifted)
-    return exponentials / np.sum(exponentials, axis=-1, keepdims=True)
+    return exponentials / exponentials.sum(axis=-1, keepdims=True)
 
 
 def sigmoid(values: np.ndarray) -> np.ndarray:

@@ -85,10 +85,9 @@ class AdaBoostClassifier(Estimator):
         matrix = check_features(features, n_features=self.n_features_)
         n_classes = len(self.classes_)
         votes = np.zeros((matrix.shape[0], n_classes))
+        rows = np.arange(matrix.shape[0])
         for learner, weight in zip(self.estimators_, self.estimator_weights_):
-            predictions = learner.predict(matrix).astype(int)
-            for row, code in enumerate(predictions):
-                votes[row, code] += weight
+            votes[rows, learner.predict(matrix).astype(int)] += weight
         total = votes.sum(axis=1, keepdims=True)
         total[total == 0.0] = 1.0
         return votes / total

@@ -70,14 +70,14 @@ class KNeighborsClassifier(Estimator):
         k = min(self.n_neighbors, self._train.shape[0])
         neighbour_indices = np.argpartition(distances, k - 1, axis=1)[:, :k]
 
+        if self.weights == "distance":
+            weights = 1.0 / (np.take_along_axis(distances, neighbour_indices, axis=1)
+                             + 1e-9)
+        else:
+            weights = np.ones(neighbour_indices.shape)
         probabilities = np.zeros((queries.shape[0], len(self.classes_)))
-        for row in range(queries.shape[0]):
-            indices = neighbour_indices[row]
-            if self.weights == "distance":
-                weights = 1.0 / (distances[row, indices] + 1e-9)
-            else:
-                weights = np.ones(len(indices))
-            for index, weight in zip(indices, weights):
-                probabilities[row, self._encoded[index]] += weight
-            probabilities[row] /= probabilities[row].sum()
-        return probabilities
+        # ``add.at`` adds in neighbour order within each row, so every vote
+        # share is summed exactly as a per-row loop sums it.
+        rows = np.arange(queries.shape[0])[:, None]
+        np.add.at(probabilities, (rows, self._encoded[neighbour_indices]), weights)
+        return probabilities / probabilities.sum(axis=1, keepdims=True)

@@ -21,6 +21,25 @@ from .base import (
 )
 
 
+def _layer_views(buffer: np.ndarray, shapes: Sequence[Tuple[int, int]]
+                 ) -> Tuple[List[np.ndarray], List[np.ndarray]]:
+    """Split a flat buffer into per-layer weight and bias views.
+
+    The weights of every layer come first, in layer order, then the biases.
+    """
+    weights: List[np.ndarray] = []
+    biases: List[np.ndarray] = []
+    weight_at = 0
+    bias_at = sum(fan_in * fan_out for fan_in, fan_out in shapes)
+    for fan_in, fan_out in shapes:
+        size = fan_in * fan_out
+        weights.append(buffer[weight_at:weight_at + size].reshape(fan_in, fan_out))
+        biases.append(buffer[bias_at:bias_at + fan_out])
+        weight_at += size
+        bias_at += fan_out
+    return weights, biases
+
+
 class MLPClassifier(Estimator):
     """Fully connected network with ReLU hidden layers and softmax output.
 
@@ -56,17 +75,22 @@ class MLPClassifier(Estimator):
 
         rng = np.random.default_rng(self.random_state)
         layer_sizes = [self.n_features_, *self.hidden_layers, n_classes]
-        self._weights: List[np.ndarray] = []
-        self._biases: List[np.ndarray] = []
-        for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
-            scale = np.sqrt(2.0 / fan_in)
-            self._weights.append(rng.normal(scale=scale, size=(fan_in, fan_out)))
-            self._biases.append(np.zeros(fan_out))
+        shapes = list(zip(layer_sizes[:-1], layer_sizes[1:]))
+        # All weights (first) and biases (last) live in one flat buffer, and
+        # the gradients in a matching one, so Adam updates every layer with a
+        # handful of whole-buffer operations.
+        n_weights = sum(fan_in * fan_out for fan_in, fan_out in shapes)
+        parameters = np.zeros(n_weights + sum(layer_sizes[1:]))
+        gradients = np.zeros_like(parameters)
+        self._weights, self._biases = _layer_views(parameters, shapes)
+        self._grad_weights, self._grad_biases = _layer_views(gradients, shapes)
+        for weight, (fan_in, fan_out) in zip(self._weights, shapes):
+            weight[...] = rng.normal(scale=np.sqrt(2.0 / fan_in),
+                                     size=(fan_in, fan_out))
 
-        first_moment = [np.zeros_like(w) for w in self._weights]
-        second_moment = [np.zeros_like(w) for w in self._weights]
-        first_moment_b = [np.zeros_like(b) for b in self._biases]
-        second_moment_b = [np.zeros_like(b) for b in self._biases]
+        weights, grad_weights = parameters[:n_weights], gradients[:n_weights]
+        first_moment = np.zeros_like(parameters)
+        second_moment = np.zeros_like(parameters)
         beta1, beta2, epsilon = 0.9, 0.999, 1e-8
         step = 0
 
@@ -77,21 +101,19 @@ class MLPClassifier(Estimator):
             order = rng.permutation(n_samples)
             for start in range(0, n_samples, batch_size):
                 batch = order[start:start + batch_size]
-                grads_w, grads_b = self._gradients(matrix[batch], targets[batch])
+                self._gradients(matrix[batch], targets[batch])
                 step += 1
-                for layer, (grad_w, grad_b) in enumerate(zip(grads_w, grads_b)):
-                    grad_w = grad_w + self.l2 * self._weights[layer]
-                    first_moment[layer] = beta1 * first_moment[layer] + (1 - beta1) * grad_w
-                    second_moment[layer] = beta2 * second_moment[layer] + (1 - beta2) * grad_w ** 2
-                    m_hat = first_moment[layer] / (1 - beta1 ** step)
-                    v_hat = second_moment[layer] / (1 - beta2 ** step)
-                    self._weights[layer] -= self.learning_rate * m_hat / (np.sqrt(v_hat) + epsilon)
-
-                    first_moment_b[layer] = beta1 * first_moment_b[layer] + (1 - beta1) * grad_b
-                    second_moment_b[layer] = beta2 * second_moment_b[layer] + (1 - beta2) * grad_b ** 2
-                    mb_hat = first_moment_b[layer] / (1 - beta1 ** step)
-                    vb_hat = second_moment_b[layer] / (1 - beta2 ** step)
-                    self._biases[layer] -= self.learning_rate * mb_hat / (np.sqrt(vb_hat) + epsilon)
+                # Adam with L2 on the weights only.  Every formula keeps the
+                # operation order of the per-layer update, so each element
+                # is computed exactly as before.
+                grad_weights += self.l2 * weights
+                first_moment *= beta1
+                first_moment += (1 - beta1) * gradients
+                second_moment *= beta2
+                second_moment += (1 - beta2) * gradients ** 2
+                m_hat = first_moment / (1 - beta1 ** step)
+                v_hat = second_moment / (1 - beta2 ** step)
+                parameters -= self.learning_rate * m_hat / (np.sqrt(v_hat) + epsilon)
         return self
 
     def _forward(self, matrix: np.ndarray) -> Tuple[List[np.ndarray], np.ndarray]:
@@ -103,20 +125,17 @@ class MLPClassifier(Estimator):
         logits = hidden @ self._weights[-1] + self._biases[-1]
         return activations, softmax(logits)
 
-    def _gradients(self, matrix: np.ndarray, targets: np.ndarray):
+    def _gradients(self, matrix: np.ndarray, targets: np.ndarray) -> None:
+        """Write the batch's loss gradients into the flat gradient buffer."""
         activations, probabilities = self._forward(matrix)
         n_samples = matrix.shape[0]
         delta = (probabilities - targets) / n_samples
-
-        grads_w: List[np.ndarray] = [np.zeros_like(w) for w in self._weights]
-        grads_b: List[np.ndarray] = [np.zeros_like(b) for b in self._biases]
         for layer in range(len(self._weights) - 1, -1, -1):
-            grads_w[layer] = activations[layer].T @ delta
-            grads_b[layer] = delta.sum(axis=0)
+            np.matmul(activations[layer].T, delta, out=self._grad_weights[layer])
+            delta.sum(axis=0, out=self._grad_biases[layer])
             if layer > 0:
                 delta = delta @ self._weights[layer].T
                 delta = delta * (activations[layer] > 0)
-        return grads_w, grads_b
 
     # ------------------------------------------------------------- prediction
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.bench import (
     UnknownBenchmarkError,
+    profile_design,
     benchmark_names,
     get_profile,
     load_benchmark,
@@ -61,3 +62,24 @@ class TestLoading:
     def test_load_suite_default_is_full_evaluation_set(self):
         suite = load_suite(scale=0.05, seed=0)
         assert set(suite) == set(benchmark_names())
+
+
+class TestDeterministicDefault:
+    """Generation without an explicit seed gives the same design every call."""
+
+    def test_load_benchmark(self):
+        first = load_benchmark("MD5", scale=0.2)
+        assert first.fingerprint() == load_benchmark("MD5", scale=0.2).fingerprint()
+        assert first.fingerprint() == load_benchmark("MD5", scale=0.2,
+                                                     seed=0).fingerprint()
+
+    def test_load_suite(self):
+        first = load_suite(["FIR", "SHA256"], scale=0.2)
+        second = load_suite(["FIR", "SHA256"], scale=0.2)
+        assert {name: design.fingerprint() for name, design in first.items()} \
+            == {name: design.fingerprint() for name, design in second.items()}
+
+    def test_profile_design(self):
+        profile = get_profile("IIR").scaled(0.2)
+        assert profile_design(profile).fingerprint() \
+            == profile_design(profile).fingerprint()
