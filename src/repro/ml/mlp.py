@@ -83,7 +83,7 @@ class MLPClassifier(Estimator):
         parameters = np.zeros(n_weights + sum(layer_sizes[1:]))
         gradients = np.zeros_like(parameters)
         self._weights, self._biases = _layer_views(parameters, shapes)
-        self._grad_weights, self._grad_biases = _layer_views(gradients, shapes)
+        grad_layers = _layer_views(gradients, shapes)
         for weight, (fan_in, fan_out) in zip(self._weights, shapes):
             weight[...] = rng.normal(scale=np.sqrt(2.0 / fan_in),
                                      size=(fan_in, fan_out))
@@ -101,7 +101,7 @@ class MLPClassifier(Estimator):
             order = rng.permutation(n_samples)
             for start in range(0, n_samples, batch_size):
                 batch = order[start:start + batch_size]
-                self._gradients(matrix[batch], targets[batch])
+                self._gradients(matrix[batch], targets[batch], *grad_layers)
                 step += 1
                 # Adam with L2 on the weights only.  Every formula keeps the
                 # operation order of the per-layer update, so each element
@@ -125,14 +125,16 @@ class MLPClassifier(Estimator):
         logits = hidden @ self._weights[-1] + self._biases[-1]
         return activations, softmax(logits)
 
-    def _gradients(self, matrix: np.ndarray, targets: np.ndarray) -> None:
-        """Write the batch's loss gradients into the flat gradient buffer."""
+    def _gradients(self, matrix: np.ndarray, targets: np.ndarray,
+                   grad_weights: List[np.ndarray],
+                   grad_biases: List[np.ndarray]) -> None:
+        """Write the batch's loss gradients into the per-layer gradient views."""
         activations, probabilities = self._forward(matrix)
         n_samples = matrix.shape[0]
         delta = (probabilities - targets) / n_samples
         for layer in range(len(self._weights) - 1, -1, -1):
-            np.matmul(activations[layer].T, delta, out=self._grad_weights[layer])
-            delta.sum(axis=0, out=self._grad_biases[layer])
+            np.matmul(activations[layer].T, delta, out=grad_weights[layer])
+            delta.sum(axis=0, out=grad_biases[layer])
             if layer > 0:
                 delta = delta @ self._weights[layer].T
                 delta = delta * (activations[layer] > 0)

@@ -133,8 +133,7 @@ class DecisionTreeClassifier(Estimator):
             sorted_values = values[order]
             # Cut ``p`` puts sorted samples 0..p on the left.
             cuts = (sorted_values[:-1] != sorted_values[1:]).nonzero()[0]
-            if self.min_samples_leaf > 1:
-                cuts = cuts[(cuts >= lowest) & (cuts <= highest)]
+            cuts = cuts[(cuts >= lowest) & (cuts <= highest)]
             if cuts.size == 0:
                 continue
             left_counts = self._identity[encoded[order]].cumsum(axis=0)[cuts]

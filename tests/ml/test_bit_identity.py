@@ -309,20 +309,30 @@ class TestVotingMatchesRowLoops:
 
 #: Captured from the per-layer Adam loop and the per-position split loop.
 _MLP_WEIGHTS_DIGEST = \
-    "2a643353c03ffb67815f172d6dcec60bb4615f0383e722d9db4a4584bc258a83"
+    "9b5b4de134692ace76c29a654ded87cbaf89339e7bde3e8717ff23ac2ee92e5b"
 _LEADERBOARD_DIGEST = \
     "49c8141e5adea3538a5e1e828e55de71917e52e697c753242d62c8530e8f67c8"
 
 
 class TestGoldenDigests:
     def test_mlp_final_weights(self):
+        """Digest of the trained weights rounded to 1e-10.
+
+        The exact bits of a BLAS ``matmul`` can depend on the kernel the
+        library picks for the CPU, so the digest covers the rounded
+        weights (every weight here sits at least 1e-12 from a rounding
+        boundary).  Exact bit identity on the running host is guarded by
+        ``TestMlpMatchesPerLayerAdam``.
+        """
         rng = np.random.default_rng(2022)
         features = rng.normal(size=(120, 3))
         labels = (features[:, 0] + features[:, 1] * features[:, 2] > 0
                   ).astype(int) + (features[:, 2] > 1)
         model = MLPClassifier(hidden_layers=(8, 4), n_epochs=30,
                               random_state=5).fit(features, labels)
-        assert _digest(model._weights + model._biases) == _MLP_WEIGHTS_DIGEST
+        rounded = [np.round(array, 10)
+                   for array in model._weights + model._biases]
+        assert _digest(rounded) == _MLP_WEIGHTS_DIGEST
 
     def test_automl_leaderboard_scores(self):
         rng = np.random.default_rng(13)

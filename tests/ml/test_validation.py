@@ -92,4 +92,5 @@ class TestCrossValScore:
         model = DecisionTreeClassifier(max_depth=3)
         cross_val_score(model, features, labels, n_splits=3,
                         rng=np.random.default_rng(2))
-        assert not hasattr(model, "_root")
+        assert not hasattr(model, "classes_")
+        assert not hasattr(model, "_value")
