@@ -48,9 +48,9 @@ def functional_kpa(design, predicted: Sequence[int], vectors: int = 64,
     some (irrelevant) bits are wrong.
 
     Both key hypotheses evaluate as lanes of one bit-parallel sweep over the
-    design's cached plan (:func:`repro.sim.key_sweep`); designs the plan
-    compiler cannot express fall back to a per-key scalar loop with
-    identical numbers.
+    design's cached plan, counted on the packed bit-slices
+    (:func:`repro.sim.sweep_differences`); designs the plan compiler cannot
+    express fall back to a scalar loop with identical numbers.
 
     Args:
         design: A locked :class:`~repro.rtlir.design.Design`.
@@ -58,7 +58,7 @@ def functional_kpa(design, predicted: Sequence[int], vectors: int = 64,
         vectors: Number of random input vectors to test.
         rng: Random source for the input vectors.
         max_lanes: Peak lane width of the underlying bit-parallel sweep —
-            see :func:`repro.sim.key_sweep` (``None`` defers to the
+            see :func:`repro.sim.sweep_differences` (``None`` defers to the
             process-wide default).
 
     Raises:
@@ -100,7 +100,7 @@ def functional_kpa_many(design, candidates: Sequence[Sequence[int]],
         ValueError: for unlocked designs, an empty candidate list,
             mismatched key lengths, or a non-positive vector count.
     """
-    from ..sim import differing_lanes, key_sweep, random_input_batch
+    from ..sim import random_input_batch, sweep_differences
 
     if not design.is_locked:
         raise ValueError("functional KPA requires a locked design")
@@ -115,10 +115,10 @@ def functional_kpa_many(design, candidates: Sequence[Sequence[int]],
 
     batch = random_input_batch(design, rng, vectors)
     keys = [correct] + [list(candidate) for candidate in candidates]
-    reference, *candidate_runs = key_sweep(design, batch, keys, n=vectors,
-                                           max_lanes=max_lanes)
-    return [100.0 * (vectors - len(differing_lanes(reference, run, n=vectors)))
-            / vectors for run in candidate_runs]
+    differences = sweep_differences(design, batch, keys=keys, n=vectors,
+                                    max_lanes=max_lanes)
+    return [100.0 * (vectors - lanes) / vectors
+            for lanes in differences.lanes]
 
 
 @dataclass

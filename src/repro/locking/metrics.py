@@ -225,6 +225,15 @@ class FunctionalCorruptionReport:
         return float(min(self.per_key_rates))
 
 
+def _checked_key(design, key: Sequence[int], argument: str) -> List[int]:
+    """``key`` as a list; ValueError unless it has the design's key width."""
+    bits = list(key)
+    if len(bits) != design.key_width:
+        raise ValueError(f"{argument} has {len(bits)} bits, but the design's "
+                         f"key has {design.key_width}")
+    return bits
+
+
 def functional_corruption(design, correct_key: Optional[Sequence[int]] = None,
                           vectors: int = 64, wrong_keys: int = 8,
                           rng: Optional[random.Random] = None,
@@ -233,9 +242,10 @@ def functional_corruption(design, correct_key: Optional[Sequence[int]] = None,
     """Measure output corruption of ``design`` under sampled wrong keys.
 
     All ``wrong_keys + 1`` key hypotheses evaluate as lanes of a *single*
-    bit-parallel sweep over the design's cached plan
-    (:func:`repro.sim.key_sweep`); designs the plan compiler cannot express
-    fall back to a per-key scalar loop with identical numbers.
+    bit-parallel sweep over the design's cached plan, counted on the packed
+    bit-slices (:func:`repro.sim.sweep_differences`); designs the plan
+    compiler cannot express fall back to a scalar loop with identical
+    numbers.
 
     Args:
         design: A locked :class:`~repro.rtlir.design.Design`.
@@ -244,46 +254,32 @@ def functional_corruption(design, correct_key: Optional[Sequence[int]] = None,
         wrong_keys: Number of random wrong keys to sample.
         rng: Random source for vectors and wrong keys.
         max_lanes: Peak lane width of the underlying bit-parallel sweep —
-            see :func:`repro.sim.key_sweep` (``None`` defers to the
+            see :func:`repro.sim.sweep_differences` (``None`` defers to the
             process-wide default).
 
     Raises:
-        ValueError: if the design is not locked or sizes are non-positive.
+        ValueError: if the design is not locked, sizes are non-positive, or
+            ``correct_key`` does not have the design's key width.
     """
-    from ..sim import (differing_lanes, key_sweep, output_signals,
-                       random_input_batch, random_wrong_key)
+    from ..sim import random_input_batch, random_wrong_key, sweep_differences
 
     if not design.is_locked:
         raise ValueError("functional corruption requires a locked design")
     if vectors < 1 or wrong_keys < 1:
         raise ValueError("vectors and wrong_keys must be positive")
     rng = rng or random.Random()
-    correct = list(correct_key) if correct_key is not None \
-        else design.correct_key
+    correct = _checked_key(design, correct_key, "correct_key") \
+        if correct_key is not None else design.correct_key
 
     batch = random_input_batch(design, rng, vectors)
     wrongs = [random_wrong_key(correct, rng) for _ in range(wrong_keys)]
-    reference, *corrupted_runs = key_sweep(design, batch, [correct] + wrongs,
-                                           n=vectors, max_lanes=max_lanes)
-    output_widths = {name: width for name, width in output_signals(design)
-                     if name in reference}
-    total_bits_per_vector = sum(output_widths.values())
-
-    per_key_rates: List[float] = []
-    flipped_bits = 0
-    for corrupted in corrupted_runs:
-        lanes = differing_lanes(reference, corrupted, n=vectors)
-        for lane in lanes:
-            for name in output_widths:
-                delta = reference[name][lane] ^ corrupted[name][lane]
-                flipped_bits += delta.bit_count()
-        per_key_rates.append(len(lanes) / vectors)
-
-    denom = wrong_keys * vectors * max(total_bits_per_vector, 1)
+    differences = sweep_differences(design, batch, keys=[correct] + wrongs,
+                                    n=vectors, max_lanes=max_lanes)
+    denom = wrong_keys * vectors * max(differences.output_bits, 1)
     return FunctionalCorruptionReport(
         vectors=vectors, wrong_keys=wrong_keys,
-        per_key_rates=per_key_rates,
-        avalanche=flipped_bits / denom,
+        per_key_rates=[lanes / vectors for lanes in differences.lanes],
+        avalanche=sum(differences.bits) / denom,
     )
 
 
@@ -309,17 +305,18 @@ def key_bit_sensitivity(design, base_key: Optional[Sequence[int]] = None,
 
     Raises:
         ValueError: if the design is not locked, ``vectors`` is not positive,
-            or an index is out of the key's range.
+            ``base_key`` does not have the design's key width, or an index is
+            out of the key's range.
     """
-    from ..sim import differing_lanes, key_sweep, random_input_batch
+    from ..sim import random_input_batch, sweep_differences
 
     if not design.is_locked:
         raise ValueError("key-bit sensitivity requires a locked design")
     if vectors < 1:
         raise ValueError("vectors must be positive")
     rng = rng or random.Random()
-    base = list(base_key) if base_key is not None \
-        else [0] * design.key_width
+    base = _checked_key(design, base_key, "base_key") \
+        if base_key is not None else [0] * design.key_width
     indices = list(key_indices) if key_indices is not None \
         else list(range(design.key_width))
     if any(index < 0 or index >= design.key_width for index in indices):
@@ -331,11 +328,9 @@ def key_bit_sensitivity(design, base_key: Optional[Sequence[int]] = None,
         flipped = list(base)
         flipped[index] = 1 - flipped[index]
         keys.append(flipped)
-    reference, *flipped_runs = key_sweep(design, batch, keys, n=vectors,
-                                         max_lanes=max_lanes)
-
-    return [len(differing_lanes(reference, outputs, n=vectors)) / vectors
-            for outputs in flipped_runs]
+    differences = sweep_differences(design, batch, keys=keys, n=vectors,
+                                    max_lanes=max_lanes)
+    return [lanes / vectors for lanes in differences.lanes]
 
 
 @dataclass
@@ -417,12 +412,10 @@ def avalanche_sensitivity(design, signal: Optional[str] = None,
 
     Raises:
         ValueError: for designs without data inputs, unknown signals,
-            out-of-range bit indices or a non-positive vector count.
+            out-of-range bit indices, a non-positive vector count, or a
+            ``key`` that does not have a locked design's key width.
     """
-    from ..sim import (BatchCompileError, batch_to_vectors, cached_simulator,
-                      differing_lanes, input_signals, output_signals,
-                      random_vector_batch)
-    from ..sim.simulator import CombinationalSimulator
+    from ..sim import input_signals, random_vector_batch, sweep_differences
 
     if vectors < 1:
         raise ValueError("vectors must be positive")
@@ -440,6 +433,10 @@ def avalanche_sensitivity(design, signal: Optional[str] = None,
     if any(b < 0 or b >= width for b in bit_indices):
         raise ValueError(f"bit index out of range for {width}-bit "
                          f"signal {signal!r}")
+    chosen = None
+    if design.is_locked:
+        chosen = _checked_key(design, key, "key") if key is not None \
+            else design.correct_key
     rng = rng or random.Random()
 
     base_value = rng.getrandbits(width)
@@ -447,51 +444,16 @@ def avalanche_sensitivity(design, signal: Optional[str] = None,
     context = random_vector_batch(context_signals, rng, vectors)
     bindings = [{signal: base_value}] + \
         [{signal: base_value ^ (1 << b)} for b in bit_indices]
-    keys = None
-    if design.is_locked:
-        chosen = list(key) if key is not None else design.correct_key
-        keys = [chosen] * len(bindings)
-
-    try:
-        simulator = cached_simulator(design)
-        runs = simulator.run_sweep(context, keys=keys, bindings=bindings,
-                                   n=vectors, max_lanes=max_lanes)
-    except BatchCompileError:
-        scalar = CombinationalSimulator(design)
-        chosen = None
-        if design.is_locked:
-            chosen = list(key) if key is not None else design.correct_key
-        context_vectors = batch_to_vectors(context, vectors)
-        runs = []
-        for point in bindings:
-            outputs: Dict[str, List[int]] = {name: []
-                                             for name in scalar.output_names}
-            for vector in context_vectors:
-                values = scalar.run({**vector, **point}, key=chosen)
-                for name in outputs:
-                    outputs[name].append(values[name])
-            runs.append(outputs)
-
-    reference, *flipped_runs = runs
-    output_widths = {name: w for name, w in output_signals(design)
-                     if name in reference}
-    total_bits = max(sum(output_widths.values()), 1)
-
-    per_bit: List[float] = []
-    lanes_changed: List[float] = []
-    for flipped in flipped_runs:
-        lanes = differing_lanes(reference, flipped, n=vectors)
-        flipped_bits = 0
-        for lane in lanes:
-            for name in output_widths:
-                delta = reference[name][lane] ^ flipped[name][lane]
-                flipped_bits += delta.bit_count()
-        per_bit.append(flipped_bits / (vectors * total_bits))
-        lanes_changed.append(len(lanes) / vectors)
-
-    return AvalancheReport(signal=signal, base_value=base_value,
-                           vectors=vectors, bit_indices=bit_indices,
-                           per_bit=per_bit, lanes_changed=lanes_changed)
+    keys = [chosen] * len(bindings) if chosen is not None else None
+    differences = sweep_differences(design, context, keys=keys,
+                                    bindings=bindings, n=vectors,
+                                    max_lanes=max_lanes)
+    total_bits = max(differences.output_bits, 1)
+    return AvalancheReport(
+        signal=signal, base_value=base_value, vectors=vectors,
+        bit_indices=bit_indices,
+        per_bit=[bits / (vectors * total_bits) for bits in differences.bits],
+        lanes_changed=[lanes / vectors for lanes in differences.lanes])
 
 
 # ---------------------------------------------------------------------------

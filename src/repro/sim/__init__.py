@@ -31,6 +31,10 @@ On top of per-vector batching, three layers serve the attack-side hot loops:
   (or the process-wide :func:`lane_limit` default) streams million-lane
   sweeps through fixed-size point tiles with bounded peak memory and
   bit-identical results,
+* :func:`sweep_differences` — the same sweep, counted instead of unpacked:
+  per point, the base lanes and output bits that differ from point 0,
+  popcounted on the packed bit-slices.  Corruption, key-bit sensitivity,
+  avalanche and functional KPA all run on it,
 * :func:`get_plan` — a process-wide LRU plan cache keyed by
   :meth:`Design.fingerprint() <repro.rtlir.design.Design.fingerprint>`, so
   equivalence checks, metrics, KPA and SnapShot stop recompiling one design,
@@ -51,10 +55,10 @@ from .plan import (
     PassManager,
     PlanStats,
     Step,
+    SweepDifferences,
     auto_max_lanes,
     compile_plan,
     default_max_lanes,
-    differing_lanes,
     lane_limit,
     pack_values,
     plan_lane_bits,
@@ -78,6 +82,7 @@ from .simulator import (
     check_equivalence,
     key_sweep,
     output_corruption,
+    sweep_differences,
 )
 from .vectors import (
     batch_to_vectors,
@@ -98,6 +103,8 @@ __all__ = [
     "check_equivalence",
     "output_corruption",
     "key_sweep",
+    "sweep_differences",
+    "SweepDifferences",
     "ENGINES",
     "DEFAULT_LANE_BITS_BUDGET",
     "PASS_ORDER",
@@ -111,7 +118,6 @@ __all__ = [
     "auto_max_lanes",
     "compile_plan",
     "default_max_lanes",
-    "differing_lanes",
     "lane_limit",
     "pack_values",
     "plan_lane_bits",

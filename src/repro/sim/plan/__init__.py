@@ -15,10 +15,10 @@ Import these names from :mod:`repro.sim` or from this package.
 from .executor import (
     DEFAULT_LANE_BITS_BUDGET,
     BatchSimulator,
+    SweepDifferences,
     auto_max_lanes,
     classify_steps,
     default_max_lanes,
-    differing_lanes,
     lane_limit,
     pack_values,
     plan_lane_bits,
@@ -61,12 +61,12 @@ __all__ = [
     "PlanStats",
     "Slices",
     "Step",
+    "SweepDifferences",
     "WORKING_WIDTH",
     "auto_max_lanes",
     "classify_steps",
     "compile_plan",
     "default_max_lanes",
-    "differing_lanes",
     "lane_limit",
     "normalize_passes",
     "pack_values",

@@ -8,8 +8,9 @@ happens after compilation:
   closures call into,
 * the lane packers (:func:`pack_values` / :func:`unpack_values`),
 * :class:`BatchSimulator` — N input vectors per bit-parallel pass
-  (:meth:`~BatchSimulator.run_batch`) and S×V (key, input) sweep lanes per
-  pass (:meth:`~BatchSimulator.run_sweep`), and
+  (:meth:`~BatchSimulator.run_batch`), S×V (key, input) sweep lanes per
+  pass (:meth:`~BatchSimulator.run_sweep`), and per-point difference counts
+  of such a sweep (:meth:`~BatchSimulator.sweep_differences`), and
 * :func:`run_plan_vector` — the lane-width-1 interpreter the scalar
   :class:`~repro.sim.simulator.CombinationalSimulator` executes compiled
   plans with, so both engines share one semantics by construction.
@@ -17,15 +18,23 @@ happens after compilation:
 ``run_sweep`` applies the sweep value-numbering tags: steps whose transitive
 inputs are point-invariant (they read neither a swept key port nor a
 per-point bound signal) evaluate once on the V-lane base batch and their
-results are tiled across the S point blocks, instead of being re-evaluated
-on all S×V lanes.  Identical keys across all sweep points count as
-point-invariant — the avalanche-study shape, where only one probed input
-varies.
+results are tiled across the S point blocks (by repeating their bytes when
+V is a multiple of 8, by a block-comb multiply otherwise), instead of being
+re-evaluated on all S×V lanes.  Identical keys across all sweep points
+count as point-invariant — the avalanche-study shape, where only one probed
+input varies.
 
-Both entry points accept a ``max_lanes`` limit that bounds the peak lane
+``run_sweep`` and ``sweep_differences`` share one tile builder (pack →
+execute) and differ only in what they read off each tile.  ``run_sweep``
+unpacks every lane into Python ints.  ``sweep_differences`` never does: it
+XORs each point-varying output word with point 0's word, tiled over the
+tile, and popcounts every point block of the differences — the whole
+question the metrics and functional KPA ask of a sweep.
+
+All entry points accept a ``max_lanes`` limit that bounds the peak lane
 width of any single pass: ``run_batch`` splits its lanes into fixed-size
-chunks, ``run_sweep`` splits the S sweep points into point *tiles* and
-streams each tile through pack → execute → unpack while the invariant
+chunks, the sweeps split the S sweep points into point *tiles* and stream
+each tile through pack → execute → unpack (or count) while the invariant
 base-batch work is still evaluated only once — so million-lane sweeps run in
 bounded memory with results bit-identical to the unchunked pass (chunking
 only ever partitions independent lanes).  :func:`set_default_max_lanes` /
@@ -37,8 +46,8 @@ from __future__ import annotations
 
 import random
 from contextlib import contextmanager
-from typing import (Dict, FrozenSet, Iterator, List, Mapping, Optional,
-                    Sequence, Set, Tuple, Union)
+from typing import (Any, Callable, Dict, FrozenSet, Iterator, List, Mapping,
+                    NamedTuple, Optional, Sequence, Set, Tuple, Union)
 
 from ...rtlir.design import Design
 from ..evaluator import SimulationError, mask
@@ -399,27 +408,80 @@ def _unpack_values_fast(slices: Sequence[int], n: int) -> List[int]:
     return values
 
 
-def differing_lanes(expected: Mapping[str, Sequence[int]],
-                    actual: Mapping[str, Sequence[int]],
-                    names: Optional[Sequence[str]] = None,
-                    n: Optional[int] = None) -> List[int]:
-    """Lanes on which two ``run_batch`` results differ in any output.
+def _tile_slices(slices: Sequence[int], base: int, points: int) -> Slices:
+    """Replicate V-lane slice words into each of ``points`` V-lane blocks.
 
-    Args:
-        expected: First result, ``{output name: [value per lane]}``.
-        actual: Second result of the same shape.
-        names: Outputs to compare (default: every key of ``expected``).
-        n: Lane count (default: inferred from the first compared output).
-
-    Returns:
-        Sorted lane indices with at least one differing output value.
+    Whole-byte blocks repeat the word's bytes, a copy that runs about 20x
+    faster than the big-int multiply at 2048 lanes x 65 points; other block
+    sizes multiply by the block-comb constant 0b...0001...0001.  Both give
+    the same words.
     """
-    compared = list(names) if names is not None else list(expected)
-    if n is None:
-        n = len(expected[compared[0]]) if compared else 0
-    return [lane for lane in range(n)
-            if any(expected[name][lane] != actual[name][lane]
-                   for name in compared)]
+    if base % 8 == 0:
+        size = base // 8
+        return [int.from_bytes(word.to_bytes(size, "little") * points,
+                               "little") for word in slices]
+    comb = ((1 << (base * points)) - 1) // ((1 << base) - 1)
+    return [word * comb for word in slices]
+
+
+#: Blocks times words from which :func:`_block_counts` counts whole-byte
+#: blocks with numpy (below it, per-block ``int.bit_count`` calls win on
+#: constant factors).
+_FAST_COUNT_BLOCKS = 64
+
+
+def _block_counts(diffs: Sequence[int], base: int,
+                  points: int) -> Tuple[List[int], List[int]]:
+    """Set lanes and set bits in each of ``points`` V-lane blocks.
+
+    ``lanes[i]`` counts the lanes of block ``i`` with a set bit in *any*
+    word of ``diffs``, ``bits[i]`` the block's set bits summed over all
+    words.  Many whole-byte blocks popcount the words' bytes in one numpy
+    pass; other shapes shift each block out and call ``int.bit_count``.
+    Both paths give the same integers.
+    """
+    if not diffs:
+        return [0] * points, [0] * points
+    any_lane = 0
+    for word in diffs:
+        any_lane |= word
+    if base % 8 == 0 and points * len(diffs) >= _FAST_COUNT_BLOCKS:
+        import numpy as np
+
+        size = points * base // 8
+        data = np.frombuffer(b"".join(word.to_bytes(size, "little")
+                                      for word in (any_lane, *diffs)),
+                             dtype=np.uint8)
+        per_word = np.bitwise_count(data).reshape(
+            len(diffs) + 1, points, base // 8).sum(axis=2, dtype=np.int64)
+        return per_word[0].tolist(), per_word[1:].sum(axis=0).tolist()
+    block = (1 << base) - 1
+    lanes: List[int] = []
+    bits: List[int] = []
+    for index in range(points):
+        shift = index * base
+        lanes.append(((any_lane >> shift) & block).bit_count())
+        bits.append(sum(((word >> shift) & block).bit_count()
+                        for word in diffs))
+    return lanes, bits
+
+
+class SweepDifferences(NamedTuple):
+    """How far each point of a sweep differs from point 0.
+
+    Attributes:
+        lanes: For points 1..S-1 in order, the number of base lanes on
+            which any output differs from point 0.
+        bits: For the same points, the number of output bits that differ
+            from point 0, summed over all base lanes.
+        output_bits: Bits per lane of the compared outputs (the output
+            ports driven by combinational logic) — the denominator that
+            turns ``bits`` into a flipped-bit fraction.
+    """
+
+    lanes: List[int]
+    bits: List[int]
+    output_bits: int
 
 
 def _pack_key_broadcast(key: Sequence[int], full: int) -> Slices:
@@ -562,6 +624,10 @@ def classify_steps(steps: Sequence[Step], inputs: Sequence[str],
         else:
             point_varying.append(step)
     return invariant, point_varying
+
+
+#: Reads one executed point tile: ``read(first, last, env)``.
+_TileReader = Callable[[int, int, Dict[str, Slices]], Any]
 
 
 class _SweepSchedule:
@@ -872,6 +938,99 @@ class BatchSimulator:
                 counts, invalid key bits, key sweeps on unlocked designs, or
                 a non-positive ``max_lanes``.
         """
+        schedule, base_env, base, tiles = self._sweep_tiles(
+            inputs, keys, bindings, n, hoist, max_lanes)
+        # Point-invariant outputs are unpacked once from the V-lane base
+        # batch and copied per point.
+        invariant_values = {name: unpack_values(base_env[name], base)
+                            for name in schedule.invariant_outputs}
+
+        def point_outputs(first: int, last: int, env: Dict[str, Slices]
+                          ) -> List[Dict[str, List[int]]]:
+            # Point-varying outputs: one flat unpack over the tile's lanes,
+            # then sliced per point — cheaper than points * (shift/mask +
+            # unpack) on the wide sweep words.  Every point dict follows
+            # plan.outputs order, hoisted or flat.
+            flat = {name: unpack_values(env[name], (last - first) * base)
+                    for name in schedule.varying_outputs}
+            return [{name: (flat[name][start:start + base] if name in flat
+                            else list(invariant_values[name]))
+                     for name in self.plan.outputs}
+                    for start in range(0, (last - first) * base, base)]
+
+        return [outputs for tile in tiles(point_outputs) for outputs in tile]
+
+    def sweep_differences(self, inputs: Mapping[str, Sequence[int]],
+                          keys: Optional[Sequence[Sequence[int]]] = None,
+                          bindings: Optional[
+                              Sequence[Mapping[str, int]]] = None,
+                          n: Optional[int] = None,
+                          max_lanes: LaneLimit = None) -> SweepDifferences:
+        """Count how far each sweep point's outputs differ from point 0's.
+
+        The one question every sweep consumer asks — corruption, key-bit
+        sensitivity, avalanche, functional KPA — answered on the packed
+        bit-slices without unpacking a lane: in each point tile, every word
+        of a point-varying output is XORed with point 0's word tiled over
+        the tile's point blocks, and each point block of the differences is
+        popcounted.  Point-invariant outputs never differ, so they are never
+        read.  Each tile is counted as soon as it is built, so ``max_lanes``
+        bounds peak memory exactly as in :meth:`run_sweep`.
+
+        Args:
+            inputs, keys, bindings, n, max_lanes: As for :meth:`run_sweep`.
+
+        Returns:
+            The per-point counts of points 1..S-1 — the same integers a
+            per-lane comparison of :meth:`run_sweep`'s results gives.
+
+        Raises:
+            SimulationError: as for :meth:`run_sweep`.
+        """
+        schedule, _, base, tiles = self._sweep_tiles(
+            inputs, keys, bindings, n, None, max_lanes)
+        block = (1 << base) - 1
+        reference: Slices = []
+
+        def count(first: int, last: int, env: Dict[str, Slices]
+                  ) -> Tuple[List[int], List[int]]:
+            nonlocal reference
+            words = [word for name in schedule.varying_outputs
+                     for word in env[name]]
+            if first == 0:
+                # Point 0 opens the first tile; its block of every word is
+                # the reference all tiles are compared against.
+                reference = [word & block for word in words]
+            diffs = [diff for word, tiled in
+                     zip(words, _tile_slices(reference, base, last - first))
+                     if (diff := word ^ tiled)]
+            return _block_counts(diffs, base, last - first)
+
+        lanes: List[int] = []
+        bits: List[int] = []
+        for tile_lanes, tile_bits in tiles(count):
+            lanes.extend(tile_lanes)
+            bits.extend(tile_bits)
+        output_bits = sum(self.width_of(name) for name in self.plan.outputs)
+        return SweepDifferences(lanes[1:], bits[1:], output_bits)
+
+    def _sweep_tiles(self, inputs: Mapping[str, Sequence[int]],
+                     keys: Optional[Sequence[Sequence[int]]],
+                     bindings: Optional[Sequence[Mapping[str, int]]],
+                     n: Optional[int], hoist: Optional[bool],
+                     max_lanes: LaneLimit
+                     ) -> Tuple[_SweepSchedule, Dict[str, Slices], int,
+                                Callable[[_TileReader], Iterator]]:
+        """The tile builder shared by both sweep methods.
+
+        Validates the sweep and evaluates its point-invariant steps once on
+        the V base lanes, then returns ``(schedule, base_env, base, tiles)``
+        to :meth:`run_sweep` or :meth:`sweep_differences`.  ``tiles(read)``
+        packs and executes one point tile at a time and yields
+        ``read(first, last, env)``, where ``env`` holds the executed
+        varying steps of points ``[first, last)``.  No tile outlives its
+        ``read`` call, so one tile is live at a time.
+        """
         base = n
         for name, values in inputs.items():
             if base is None:
@@ -915,9 +1074,9 @@ class BatchSimulator:
         varying: Set[str] = set(bound)
         shared_key: Optional[List[int]] = None
         if keys is not None:
-            first = list(keys[0])
-            if all(list(point_key) == first for point_key in keys):
-                shared_key = first
+            first_key = list(keys[0])
+            if all(list(point_key) == first_key for point_key in keys):
+                shared_key = first_key
             else:
                 varying.add(key_port)
 
@@ -950,8 +1109,6 @@ class BatchSimulator:
         # read gets tiled out to the sweep lanes, one point tile at a time.
         needed_env = {name: slices for name, slices in base_env.items()
                       if name in schedule.needed}
-        invariant_values = {name: unpack_values(base_env[name], base)
-                            for name in schedule.invariant_outputs}
         point_list = list(bindings) if bindings is not None \
             else [{}] * points
         key_list = list(keys) if keys is not None else None
@@ -960,38 +1117,33 @@ class BatchSimulator:
 
         limit = self._resolve_max_lanes(max_lanes, base)
         tile_points = points if limit is None else max(1, limit // base)
-        results: List[Dict[str, List[int]]] = []
-        for first in range(0, points, tile_points):
-            last = min(first + tile_points, points)
-            results.extend(self._run_sweep_tile(
-                schedule, needed_env, invariant_values, point_list, key_list,
-                bound, swept_key_port, base, first, last))
-        return results
 
-    def _run_sweep_tile(self, schedule: _SweepSchedule,
-                        needed_env: Dict[str, Slices],
-                        invariant_values: Dict[str, List[int]],
-                        point_list: Sequence[Mapping[str, int]],
-                        key_list: Optional[Sequence[Sequence[int]]],
-                        bound: Set[str], swept_key_port: Optional[str],
-                        base: int, first: int,
-                        last: int) -> List[Dict[str, List[int]]]:
-        """Evaluate sweep points ``[first, last)`` as one bit-parallel pass.
+        def tiles(read: _TileReader) -> Iterator:
+            for first in range(0, points, tile_points):
+                last = min(first + tile_points, points)
+                yield read(first, last, self._execute_sweep_tile(
+                    schedule, needed_env, point_list, key_list, bound,
+                    swept_key_port, base, first, last))
+
+        return schedule, base_env, base, tiles
+
+    def _execute_sweep_tile(self, schedule: _SweepSchedule,
+                            needed_env: Dict[str, Slices],
+                            point_list: Sequence[Mapping[str, int]],
+                            key_list: Optional[Sequence[Sequence[int]]],
+                            bound: Set[str], swept_key_port: Optional[str],
+                            base: int, first: int,
+                            last: int) -> Dict[str, Slices]:
+        """Pack and execute sweep points ``[first, last)`` as one pass.
 
         Lane-parallel kernels never mix bits across lanes, so each point
         block is independent and tiling is bit-identical to one wide pass.
         The ragged last tile simply gets narrower pack constants.
         """
         tile_points = last - first
-        lanes = tile_points * base
-        full = (1 << lanes) - 1
-        block = (1 << base) - 1
-        # Replicating a V-lane slice into every point's lane block is one
-        # multiplication by the block-comb constant 0b...0001...0001.
-        tile = full // block
-
+        full = (1 << (tile_points * base)) - 1
         env: Dict[str, Slices] = {
-            name: [word * tile for word in slices]
+            name: _tile_slices(slices, base, tile_points)
             for name, slices in needed_env.items()
         }
         for name in bound:
@@ -1005,22 +1157,7 @@ class BatchSimulator:
                 self.width_of(swept_key_port))
 
         execute_steps(schedule.varying_steps, env, full)
-
-        # Point-varying outputs: one flat unpack over the tile's lanes, then
-        # sliced per point — cheaper than points * (shift/mask + unpack) on
-        # the wide sweep words.  Point-invariant outputs were unpacked once
-        # from the V-lane base batch and are copied per point.  Every point
-        # dict follows plan.outputs order, hoisted or flat.
-        flat = {name: unpack_values(env[name], lanes)
-                for name in schedule.varying_outputs}
-        results: List[Dict[str, List[int]]] = []
-        for index in range(tile_points):
-            start = index * base
-            results.append({
-                name: (flat[name][start:start + base] if name in flat
-                       else list(invariant_values[name]))
-                for name in self.plan.outputs})
-        return results
+        return env
 
     def run(self, inputs: Mapping[str, int],
             key: Optional[Sequence[int]] = None) -> Dict[str, int]:

@@ -28,6 +28,7 @@ from typing import Dict, List, Mapping, Optional, Sequence
 
 from ..rtlir.design import Design
 from .evaluator import ExpressionEvaluator, SimulationError, mask
+from .plan.executor import SweepDifferences
 from .plan.steps import _declared_widths, _ordered_assignments  # noqa: F401
 # (_declared_widths/_ordered_assignments stay importable from this module —
 # they moved into the plan IR with the compiler split.)
@@ -310,14 +311,11 @@ def output_corruption(locked: Design, correct_key: Sequence[int],
     rng = rng or random.Random()
 
     if engine == "batch" and vectors > 0:
-        simulators = _batch_simulators(locked)
-        if simulators is not None:
-            from .plan import differing_lanes
-            (simulator,) = simulators
-            batch = simulator.random_batch(rng, vectors)
-            good, bad = simulator.run_sweep(
-                batch, keys=[correct_key, wrong_key], n=vectors)
-            return len(differing_lanes(good, bad, n=vectors)) / vectors
+        from .vectors import random_input_batch
+        batch = random_input_batch(locked, rng, vectors)
+        differences = sweep_differences(
+            locked, batch, keys=[correct_key, wrong_key], n=vectors)
+        return differences.lanes[0] / vectors
 
     simulator = CombinationalSimulator(locked, engine="ast")
     differing = 0
@@ -330,18 +328,39 @@ def output_corruption(locked: Design, correct_key: Sequence[int],
     return differing / vectors if vectors else 0.0
 
 
+def _base_lanes(inputs: Mapping[str, Sequence[int]],
+                n: Optional[int]) -> int:
+    """Lane count of a sweep's shared base batch.
+
+    Raises:
+        SimulationError: for inconsistent lane counts or no lanes at all.
+    """
+    lanes = n
+    for name, values in inputs.items():
+        if lanes is None:
+            lanes = len(values)
+        elif len(values) != lanes:
+            raise SimulationError(
+                f"input {name!r} has {len(values)} lanes, expected {lanes}")
+    if lanes is None or lanes < 1:
+        raise SimulationError("sweep needs at least one lane "
+                              "(pass inputs or n)")
+    return lanes
+
+
 def key_sweep(design: Design, inputs: Mapping[str, Sequence[int]],
               keys: Sequence[Sequence[int]], n: Optional[int] = None,
               engine: str = "batch",
               max_lanes: Optional[int] = None) -> List[Dict[str, List[int]]]:
     """Outputs of ``design`` under several key hypotheses on one shared batch.
 
-    The workhorse of every key-trial consumer (`functional_kpa`,
-    `key_bit_sensitivity`, `functional_corruption`): all ``len(keys)``
-    hypotheses evaluate as lanes of a single bit-parallel pass over the
-    design's cached plan.  Designs the plan compiler cannot express fall back
-    to a per-key scalar loop with bit-identical results — callers never see
-    the engine switch.
+    The per-lane sweep API: all ``len(keys)`` hypotheses evaluate as lanes
+    of a single bit-parallel pass over the design's cached plan, and every
+    lane value comes back as a Python int.  Consumers that only count how
+    outputs differ between hypotheses (the metrics and functional KPA) use
+    :func:`sweep_differences`, which never unpacks a lane.  Designs the plan
+    compiler cannot express fall back to a per-key scalar loop with
+    bit-identical results — callers never see the engine switch.
 
     Args:
         design: A locked design.
@@ -367,16 +386,7 @@ def key_sweep(design: Design, inputs: Mapping[str, Sequence[int]],
                          f"expected one of {ENGINES}")
     if design.key_port is None:
         raise SimulationError("cannot sweep keys of an unlocked design")
-    lanes = n
-    for name, values in inputs.items():
-        if lanes is None:
-            lanes = len(values)
-        elif len(values) != lanes:
-            raise SimulationError(
-                f"input {name!r} has {len(values)} lanes, expected {lanes}")
-    if lanes is None or lanes < 1:
-        raise SimulationError("key sweep needs at least one lane "
-                              "(pass inputs or n)")
+    lanes = _base_lanes(inputs, n)
     if len(keys) < 1:
         raise SimulationError("key sweep needs at least one key hypothesis")
 
@@ -400,3 +410,80 @@ def key_sweep(design: Design, inputs: Mapping[str, Sequence[int]],
                 outputs[name].append(values[name])
         results.append(outputs)
     return results
+
+
+def sweep_differences(design: Design, inputs: Mapping[str, Sequence[int]],
+                      keys: Optional[Sequence[Sequence[int]]] = None,
+                      bindings: Optional[Sequence[Mapping[str, int]]] = None,
+                      n: Optional[int] = None,
+                      max_lanes: Optional[int] = None) -> SweepDifferences:
+    """Count how far each sweep point's outputs differ from point 0's.
+
+    The entry point of every sweep consumer — wrong-key corruption, key-bit
+    sensitivity, input avalanche and functional KPA all ask only, per sweep
+    point, how many base lanes differ from point 0 and how many output bits
+    flipped.  Compilable designs answer it on the packed bit-slices
+    (:meth:`BatchSimulator.sweep_differences
+    <repro.sim.plan.executor.BatchSimulator.sweep_differences>`); designs
+    the plan compiler cannot express fall back to one scalar loop that
+    counts the same integers from per-lane values.
+
+    Args:
+        design: The design to sweep (locked when ``keys`` are given).
+        inputs: Shared base batch ``{input name: [value per lane]}``.
+        keys: One key per sweep point.
+        bindings: Per-point input overrides ``{input name: value}``.
+        n: Base lane count override, required when ``inputs`` is empty.
+        max_lanes: Peak lane width of one bit-parallel pass (see
+            :meth:`BatchSimulator.run_sweep
+            <repro.sim.plan.executor.BatchSimulator.run_sweep>`); ``None``
+            defers to the process-wide default.
+
+    Returns:
+        A :class:`~repro.sim.plan.executor.SweepDifferences` for points
+        1..S-1.
+
+    Raises:
+        SimulationError: for unknown signals, inconsistent lane or point
+            counts, or key sweeps on unlocked designs.
+    """
+    simulators = _batch_simulators(design)
+    if simulators is not None:
+        (simulator,) = simulators
+        return simulator.sweep_differences(inputs, keys=keys,
+                                           bindings=bindings, n=n,
+                                           max_lanes=max_lanes)
+
+    from .vectors import batch_to_vectors
+    if keys is not None and design.key_port is None:
+        raise SimulationError("cannot sweep keys of an unlocked design")
+    lanes = _base_lanes(inputs, n)
+    points = len(keys) if keys is not None else len(bindings or ())
+    if bindings is not None and len(bindings) != points:
+        raise SimulationError(
+            f"got {len(bindings)} bindings for {points} sweep points")
+    if points < 1:
+        raise SimulationError("sweep needs at least one point "
+                              "(pass keys or bindings)")
+
+    simulator = CombinationalSimulator(design, engine="ast")
+    names = simulator.output_names
+    vectors = batch_to_vectors(inputs, lanes)
+
+    def run_point(point: int) -> List[Dict[str, int]]:
+        key = keys[point] if keys is not None else None
+        binding = bindings[point] if bindings is not None else {}
+        return [simulator.run({**vector, **binding}, key=key)
+                for vector in vectors]
+
+    reference = run_point(0)
+    differing: List[int] = []
+    flipped: List[int] = []
+    for point in range(1, points):
+        per_lane = [sum((expected[name] ^ actual[name]).bit_count()
+                        for name in names)
+                    for expected, actual in zip(reference, run_point(point))]
+        differing.append(sum(1 for count in per_lane if count))
+        flipped.append(sum(per_lane))
+    return SweepDifferences(differing, flipped,
+                            sum(simulator.width_of(name) for name in names))

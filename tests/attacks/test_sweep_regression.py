@@ -2,10 +2,12 @@
 
 `functional_kpa`, `key_bit_sensitivity`, `functional_corruption` and
 `TrainingSetBuilder.build` moved from per-key batch loops onto per-lane key
-sweeps (plus the process-wide plan cache).  Every one of them must produce
-results identical to the pre-sweep implementation on seeded runs — asserted
-here both against the scalar engine (forced through the same `key_sweep`
-entry point every consumer calls) and against literal pinned values.
+sweeps (plus the process-wide plan cache), and then onto difference counts
+taken on the packed sweep.  Every one of them must produce results identical
+to the pre-sweep implementation on seeded runs — asserted here both against
+the scalar fallback of `sweep_differences` (the entry point every consumer
+calls, forced by hiding the batch engine from it) and against literal pinned
+values.
 """
 
 import random
@@ -13,7 +15,7 @@ import random
 import numpy as np
 import pytest
 
-import repro.sim as sim_package
+import repro.sim.simulator as simulator_module
 from repro.attacks import LocalityExtractor, TrainingSetBuilder
 from repro.attacks.kpa import functional_kpa, functional_kpa_many
 from repro.bench import load_benchmark
@@ -24,7 +26,7 @@ from repro.locking import (
     key_bit_sensitivity,
 )
 from repro.rtlir import Design, KeyBit
-from repro.sim import check_equivalence, key_sweep, output_corruption
+from repro.sim import check_equivalence, output_corruption
 
 #: Pinned literals (exact rationals of deterministic integer simulations).
 PINNED_WRONG_KEY_FKPA = 3.125
@@ -32,19 +34,18 @@ PINNED_SENSITIVITY = [0.8125, 0.0, 0.0, 0.0]
 
 
 def _run_on_both_engines(fn):
-    """Run ``fn`` once on the batch sweep and once forced through scalar."""
+    """Run ``fn`` once on the batch sweep and once forced through scalar.
+
+    With no batch simulator to build, ``sweep_differences`` takes its scalar
+    fallback, which counts from per-lane values of the AST engine.
+    """
     batch_result = fn()
-    original = sim_package.key_sweep
-
-    def scalar_only(design, inputs, keys, n=None, engine="batch",
-                    max_lanes=None):
-        return original(design, inputs, keys, n=n, engine="scalar")
-
-    sim_package.key_sweep = scalar_only
+    original = simulator_module._batch_simulators
+    simulator_module._batch_simulators = lambda *designs: None
     try:
         scalar_result = fn()
     finally:
-        sim_package.key_sweep = original
+        simulator_module._batch_simulators = original
     return batch_result, scalar_result
 
 

@@ -1,15 +1,14 @@
-"""Avalanche sensitivity: single-bit input flips via run_sweep bindings."""
+"""Avalanche sensitivity: single-bit input flips as sweep bindings."""
 
 import random
 
 import pytest
 
-import repro.sim
+import repro.sim.simulator
 from repro.bench import load_benchmark
 from repro.locking import AssureLocker, ERALocker, avalanche_sensitivity
 from repro.locking.metrics import AvalancheReport
 from repro.rtlir import Design
-from repro.sim import BatchCompileError
 
 PASSTHROUGH = """
 module pass4 (input [3:0] a, input [3:0] b, output [3:0] y, output [3:0] z);
@@ -102,10 +101,10 @@ class TestEngineEquivalence:
         batch = avalanche_sensitivity(design, signal="b", vectors=8,
                                       rng=random.Random(3))
 
-        def refuse(_design):
-            raise BatchCompileError("forced fallback")
-
-        monkeypatch.setattr(repro.sim, "cached_simulator", refuse)
+        # Without a batch simulator, sweep_differences takes its scalar
+        # fallback.
+        monkeypatch.setattr(repro.sim.simulator, "_batch_simulators",
+                            lambda *designs: None)
         scalar = avalanche_sensitivity(design, signal="b", vectors=8,
                                        rng=random.Random(3))
         assert scalar.per_bit == batch.per_bit

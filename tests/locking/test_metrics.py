@@ -145,3 +145,53 @@ class TestMetricSurface:
     def test_steps_mismatch_raises(self):
         with pytest.raises(ValueError):
             metric_surface([4, 4], steps=[3])
+
+
+class TestKeyWidthValidation:
+    """Functional metrics reject keys that do not fit the locked design."""
+
+    @pytest.fixture(scope="class")
+    def sasc(self):
+        import random
+
+        from repro.bench import load_benchmark
+        from repro.locking import ERALocker
+
+        design = load_benchmark("SASC", scale=0.2)
+        locked = ERALocker(rng=random.Random(0),
+                           track_metrics=False).lock(design, 6).design
+        assert locked.key_width == 6
+        return locked
+
+    @pytest.mark.parametrize("bits", [2, 5, 7, 9])
+    def test_functional_corruption_correct_key(self, sasc, bits):
+        from repro.locking import functional_corruption
+
+        with pytest.raises(ValueError, match="correct_key"):
+            functional_corruption(sasc, correct_key=[0] * bits, vectors=4,
+                                  wrong_keys=2)
+
+    @pytest.mark.parametrize("bits", [2, 5, 7, 9])
+    def test_key_bit_sensitivity_base_key(self, sasc, bits):
+        from repro.locking import key_bit_sensitivity
+
+        with pytest.raises(ValueError, match="base_key"):
+            key_bit_sensitivity(sasc, base_key=[0] * bits, vectors=4)
+
+    @pytest.mark.parametrize("bits", [2, 5, 7, 9])
+    def test_avalanche_sensitivity_key(self, sasc, bits):
+        from repro.locking import avalanche_sensitivity
+
+        with pytest.raises(ValueError, match="key"):
+            avalanche_sensitivity(sasc, key=[0] * bits, vectors=4)
+
+    def test_full_width_keys_still_accepted(self, sasc):
+        from repro.locking import (avalanche_sensitivity,
+                                   functional_corruption,
+                                   key_bit_sensitivity)
+
+        key = list(sasc.correct_key)
+        assert functional_corruption(sasc, correct_key=key, vectors=4,
+                                     wrong_keys=2).per_key_rates
+        assert len(key_bit_sensitivity(sasc, base_key=key, vectors=4)) == 6
+        assert avalanche_sensitivity(sasc, key=key, vectors=4).per_bit
