@@ -8,38 +8,51 @@ Fig. 6b average table, then checks the paper's qualitative claims.
 
 from __future__ import annotations
 
+from repro.api import AttackSpec, LockerSpec, Runner, Scenario
 from repro.bench import benchmark_names
 from repro.eval import (
-    ExperimentConfig,
     PAPER_AVERAGE_KPA,
-    SnapShotExperiment,
-    experiment_report,
+    kpa_tables_from_samples,
+    report_from_samples,
     shape_checks,
 )
 
 from .conftest import write_result
 
+ALGORITHMS = ("assure", "hra", "era")
+
+
+def run_fig6(benchmark, scenario):
+    """Run the scenario once under pytest-benchmark; return its KPA data.
+
+    Fails on any failed job: a partial matrix would skew the averages.
+    """
+    report = benchmark.pedantic(lambda: Runner(scenario).run(),
+                                rounds=1, iterations=1)
+    assert not report.failures, [entry["job_id"]
+                                 for entry in report.failures]
+    samples = report.kpa_samples()
+    text = report_from_samples(samples, scenario)
+    per_benchmark, average = kpa_tables_from_samples(samples)
+    return text, per_benchmark, average
+
 
 def test_fig6_kpa_full_suite(benchmark, results_dir, eval_scale, eval_samples,
                              eval_rounds, full_evaluation):
-    config = ExperimentConfig(
-        benchmarks=benchmark_names(),
-        algorithms=("assure", "hra", "era"),
+    scenario = Scenario(
+        name="fig6",
+        benchmarks=tuple(benchmark_names()),
+        lockers=tuple(LockerSpec(algorithm) for algorithm in ALGORITHMS),
+        attacks=(AttackSpec("snapshot", rounds=eval_rounds,
+                            time_budget=30.0 if full_evaluation else 4.0),),
+        samples=eval_samples,
         scale=eval_scale,
-        n_test_lockings=eval_samples,
-        relock_rounds=eval_rounds,
-        automl_time_budget=30.0 if full_evaluation else 4.0,
         seed=0,
     )
-    result = benchmark.pedantic(lambda: SnapShotExperiment(config).run(),
-                                rounds=1, iterations=1)
-
-    report = experiment_report(result)
+    report, per_benchmark, average = run_fig6(benchmark, scenario)
     print("\n" + report)
     write_result(results_dir, "fig6_kpa", report)
 
-    average = result.average_kpa()
-    per_benchmark = result.kpa_table()
     checks = shape_checks(average, per_benchmark)
 
     # The headline shape of Fig. 6b: ERA sits at the random-guess line while
@@ -66,21 +79,18 @@ def test_fig6_kpa_full_suite(benchmark, results_dir, eval_scale, eval_samples,
 
 def test_fig6_kpa_smoke_subset(benchmark, results_dir):
     """A minutes-scale smoke variant over a representative benchmark subset."""
-    config = ExperimentConfig(
-        benchmarks=["MD5", "FIR", "SASC", "N_2046", "N_1023"],
-        algorithms=("assure", "hra", "era"),
+    scenario = Scenario(
+        name="fig6-smoke",
+        benchmarks=("MD5", "FIR", "SASC", "N_2046", "N_1023"),
+        lockers=tuple(LockerSpec(algorithm) for algorithm in ALGORITHMS),
+        attacks=(AttackSpec("snapshot", rounds=15, time_budget=3.0),),
+        samples=2,
         scale=0.1,
-        n_test_lockings=2,
-        relock_rounds=15,
-        automl_time_budget=3.0,
         seed=1,
     )
-    result = benchmark.pedantic(lambda: SnapShotExperiment(config).run(),
-                                rounds=1, iterations=1)
-    report = experiment_report(result)
+    report, _, average = run_fig6(benchmark, scenario)
     print("\n" + report)
     write_result(results_dir, "fig6_kpa_smoke", report)
 
-    average = result.average_kpa()
     assert average["assure"] > average["era"]
     assert abs(average["era"] - 50.0) <= 20.0

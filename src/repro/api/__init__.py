@@ -107,7 +107,6 @@ __all__ = [
     "CoevoReport",
     "Genome",
     "run_coevo",
-    "JobExecutionError",
     "Runner",
     "RunReport",
     "execute_job",
@@ -168,7 +167,6 @@ _LAZY = {
     "CoevoReport": "coevo",
     "Genome": "coevo",
     "run_coevo": "coevo",
-    "JobExecutionError": "runner",
     "Runner": "runner",
     "RunReport": "runner",
     "execute_job": "runner",

@@ -39,8 +39,8 @@ from typing import Callable, Dict, Iterable, List, Optional
 class UnknownComponentError(ValueError):
     """Raised when a name is not present in a registry.
 
-    Subclasses :class:`ValueError` because the historical factories
-    (``eval.experiment.make_locker``) raised that for unknown names.
+    Subclasses :class:`ValueError`, so callers validating names can catch
+    either.
     """
 
 
@@ -173,9 +173,8 @@ def make_locker(algorithm: str, rng: random.Random,
                 pair_table=None, track_metrics: bool = False, **options):
     """Instantiate a locking algorithm by registry name.
 
-    This is the lookup behind :func:`repro.eval.experiment.make_locker`; the
-    keyword surface matches the historical helper so existing call sites keep
-    working, and any extra ``options`` are forwarded to the factory.
+    Every locker the runner, the CLI and the examples build comes from
+    here; any extra ``options`` are forwarded to the factory.
 
     Raises:
         UnknownComponentError: for unregistered algorithm names.

@@ -72,25 +72,14 @@ _DESIGN_CACHE_SIZE = 8
 _LEDGER_ERROR_CHARS = 4000
 
 
-class JobExecutionError(RuntimeError):
-    """One or more jobs of a run failed past their retry budget.
-
-    :meth:`Runner.run` itself no longer raises this — a run degrades
-    gracefully, quarantining poison jobs to the failure ledger and
-    returning a report with :attr:`RunReport.failures` populated.  Callers
-    that want the historical fail-fast contract (the legacy experiment
-    pipeline does) call :meth:`RunReport.raise_for_failures`.
-    """
-
-
 _design_cache: "OrderedDict[Tuple[str, float, int], object]" = OrderedDict()
 
 
 def _load_base_design(benchmark: str, scale: float, seed: int):
     """Load a benchmark once per process and share it across jobs.
 
-    The historical experiment loop loaded each benchmark once for all its
-    cells; jobs restore that economy through this cache.  Sharing is safe
+    Every job of a (benchmark, scale, seed) cell starts from the same base
+    design, so the cache loads it once per process.  Sharing is safe
     because nothing mutates the shared design: a job's locker returns a
     locked copy (``in_place`` defaults to False), and the attack's relocking
     rounds mutate only that job-owned locked target and always roll it back.
@@ -142,12 +131,13 @@ def execute_job(job: JobSpec, pair_table=None,
                 in_worker: bool = False) -> Dict:
     """Execute one job and return its (JSON-ready) record.
 
-    The lock step replays the exact seeding of the historical
-    ``SnapShotExperiment.run_cell``; the locked sample's evaluation plan —
-    compiled once through the full ``repro.sim.plan`` pass pipeline,
-    sweep-value-numbering tags included — is warmed into the process-wide
-    cache before any simulation-backed step, so every key sweep and metric
-    inside the job starts from a cache hit.
+    The lock and attack steps seed themselves from
+    :attr:`JobSpec.locker_seed` and :attr:`JobSpec.attack_seed`; the locked
+    sample's evaluation plan — compiled once through the full
+    ``repro.sim.plan`` pass pipeline, sweep-value-numbering tags included —
+    is warmed into the process-wide cache before any simulation-backed
+    step, so every key sweep and metric inside the job starts from a cache
+    hit.
 
     The whole job runs under a :func:`repro.sim.lane_limit` scope —
     ``max_lanes`` (the runner override) if set, else the job's scenario-level
@@ -324,22 +314,6 @@ class RunReport:
     failures: List[Dict] = field(default_factory=list)
     quarantined: int = 0
 
-    def raise_for_failures(self) -> None:
-        """Raise :class:`JobExecutionError` when any job failed.
-
-        The historical fail-fast contract for callers that prefer an
-        exception over a partial report (the legacy experiment pipeline
-        does).  Completed records were committed before quarantine, so a
-        resumed run re-executes only the failures.
-        """
-        if not self.failures:
-            return
-        summary = "; ".join(entry["job_id"] for entry in self.failures)
-        first = self.failures[0].get("error") or "(no traceback captured)"
-        raise JobExecutionError(
-            f"{len(self.failures)} job(s) failed ({summary}); completed "
-            f"jobs were committed. First failure:\n{first}")
-
     def kpa_samples(self) -> List:
         """Flatten every attack record into ``KpaSample`` objects."""
         from .store import kpa_samples_from_records
@@ -493,8 +467,8 @@ class Runner:
         its budget — or one failing permanently — is *quarantined*: appended
         to the store's ``failures.jsonl`` ledger, reported in
         :attr:`RunReport.failures`, and skipped by later resumes until the
-        retry budget is raised.  Call :meth:`RunReport.raise_for_failures`
-        for the historical fail-fast behaviour.
+        retry budget is raised.  A caller that needs the full matrix checks
+        that :attr:`RunReport.failures` is empty.
 
         Raises:
             StoreError: when resuming against a store stamped by a

@@ -8,10 +8,11 @@ and expands deterministically into a flat list of :class:`JobSpec` jobs, each
 of which is an independent lock → attack (or lock → measure) unit of work
 with a stable ``job_id`` — the key of the results store.
 
-Seed derivation is *identical* to the historical
-:class:`~repro.eval.experiment.SnapShotExperiment` pipeline: a scenario with
-one ``snapshot`` attack reproduces the Fig. 6 evaluation bit for bit at the
-same master seed, serially or across a process pool.
+Every job seeds itself from the master seed, its cell and its sample index
+(:func:`cell_seed` and the :class:`JobSpec` seed properties), so a
+scenario's records are the same serially or across a process pool, in any
+completion order.  ``repro-lock evaluate`` is a scenario with one
+``snapshot`` attack; its Fig. 6 records are a function of its flags alone.
 
 Beyond the base cross product, three **matrix axes** turn one scenario into a
 parameter sweep without any code:
@@ -46,13 +47,11 @@ class ScenarioError(ValueError):
 
 
 def cell_seed(seed: int, benchmark: str, algorithm: str) -> int:
-    """Per-(benchmark, locker) seed — the historical ``run_cell`` formula.
+    """Per-(benchmark, locker) seed behind :attr:`JobSpec.cell_seed`.
 
-    The single definition behind both :attr:`JobSpec.cell_seed` and the
-    legacy :meth:`SnapShotExperiment.run_cell
-    <repro.eval.experiment.SnapShotExperiment.run_cell>`; ``zlib.crc32``
-    keeps the value stable across processes (Python's built-in ``hash()``
-    of strings is salted per interpreter run).
+    ``zlib.crc32`` keeps the value stable across processes (Python's
+    built-in ``hash()`` of strings is salted per interpreter run); stored
+    records depend on this exact formula.
     """
     return zlib.crc32(f"{seed}/{benchmark}/{algorithm}".encode()) & 0x7FFFFFFF
 
@@ -63,7 +62,7 @@ def key_budget(fraction: float, benchmark: str, algorithm: str,
 
     The perfectly imbalanced ``N_2046`` needs a dummy per operation for ERA
     to reach balance (Section 5, "Attack setup") — the single definition of
-    the special case shared by the job runner and the legacy experiment.
+    the special case, used by the job runner.
     """
     if benchmark == "N_2046" and algorithm == "era":
         fraction = 1.0
@@ -497,18 +496,16 @@ class JobSpec:
 
     @property
     def locker_seed(self) -> int:
-        """Seed of the locking rng (identical to the legacy pipeline)."""
+        """Seed of the locking rng: ``cell_seed + 1000 * sample``."""
         return self.cell_seed + 1000 * self.sample
 
     @property
     def attack_seed(self) -> int:
         """Seed of the attack rng.
 
-        For the first attack of a scenario this is exactly the legacy
-        ``cell_seed + 1000 * sample + 7``, which keeps single-attack
-        scenarios bit-identical to :class:`SnapShotExperiment`; further
-        attacks shift by a fixed stride so every attack draws an
-        independent stream.
+        For the first attack of a scenario this is
+        ``cell_seed + 1000 * sample + 7``; further attacks shift by a fixed
+        stride so every attack draws an independent stream.
         """
         return self.cell_seed + 1000 * self.sample + 7 + 1009 * self.attack_index
 
@@ -795,10 +792,9 @@ class Scenario:
         Jobs are ordered benchmark-major, then locker, then locker
         key-budget axis, then seed axis, then sample, then attacks (budget
         axis innermost) before metrics — for a scenario without matrix axes
-        the axis loops collapse to singletons and the order is the exact
-        cell order of the historical experiment loop, so serial runs and
-        progress reporting match it.  The expansion is a pure function of
-        the scenario (declaration order, no hashing or platform-dependent
+        the axis loops collapse to singletons and the order is benchmark,
+        locker, sample, attack.  The expansion is a pure function of the
+        scenario (declaration order, no hashing or platform-dependent
         iteration), so the run plan is stable across platforms and
         processes.
         """
@@ -856,33 +852,3 @@ class Scenario:
                 metric=metric, metric_index=metric_index, axes=base_axes,
                 max_lanes=self.max_lanes))
         return jobs
-
-    # ------------------------------------------------------------ conversions
-
-    @classmethod
-    def from_experiment_config(cls, config,
-                               name: str = "evaluate") -> "Scenario":
-        """The scenario equivalent of a legacy ``ExperimentConfig``.
-
-        The resulting single-attack scenario reproduces
-        :meth:`SnapShotExperiment.run <repro.eval.experiment.SnapShotExperiment.run>`
-        bit for bit at the same seed — both run the same self-seeded jobs
-        with the deterministic auto-ML budget.  ``config.pair_table`` is a
-        runtime object and cannot be declared here; pass it to the
-        :class:`~repro.api.runner.Runner` instead.
-        """
-        return cls(
-            name=name,
-            benchmarks=tuple(config.benchmarks),
-            lockers=tuple(LockerSpec(algorithm=algorithm,
-                                     key_budget_fraction=config.key_budget_fraction)
-                          for algorithm in config.algorithms),
-            attacks=(AttackSpec(name="snapshot",
-                                rounds=config.relock_rounds,
-                                time_budget=config.automl_time_budget,
-                                feature_set=config.feature_set,
-                                functional_vectors=config.functional_vectors),),
-            samples=config.n_test_lockings,
-            scale=config.scale,
-            seed=config.seed,
-        )

@@ -1,4 +1,4 @@
-"""High-level report generation combining experiment results and paper values."""
+"""High-level report generation combining scenario records and paper values."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence
 
 from ..attacks.kpa import KpaSample, aggregate_by
-from .experiment import ExperimentResult
 from .figures import PAPER_AVERAGE_KPA
 from .tables import average_kpa_text, kpa_table_text
 
@@ -92,20 +91,15 @@ def shape_checks(average: Mapping[str, float],
     return checks
 
 
-def experiment_report(result: ExperimentResult) -> str:
-    """Render a full text report (Fig. 6a table, Fig. 6b table, shape checks)."""
-    return _render_report(result.kpa_table(), result.average_kpa(),
-                          list(result.config.algorithms))
-
-
 def kpa_tables_from_samples(samples: Sequence[KpaSample],
                             ) -> tuple:
     """Build ``(per_benchmark, average)`` KPA tables from flat samples.
 
-    The store-backed counterpart of :meth:`ExperimentResult.kpa_table` and
-    :meth:`ExperimentResult.average_kpa`, usable on any
-    :class:`~repro.attacks.kpa.KpaSample` list (e.g.
-    :meth:`repro.api.ResultsStore.kpa_samples`).
+    Usable on any :class:`~repro.attacks.kpa.KpaSample` list, e.g.
+    :meth:`repro.api.RunReport.kpa_samples` after a run or
+    :meth:`repro.api.ResultsStore.kpa_samples` long after it.  Both tables
+    keep the order in which the samples name their benchmarks and
+    algorithms.
     """
     grouped: Dict[str, Dict[str, List[float]]] = {}
     for sample in samples:
@@ -122,25 +116,35 @@ def kpa_tables_from_samples(samples: Sequence[KpaSample],
     return per_benchmark, average
 
 
-def report_from_samples(samples: Sequence[KpaSample],
-                        algorithms: Optional[Sequence[str]] = None) -> str:
-    """Render the Fig. 6 style report from flat KPA samples."""
+def report_from_samples(samples: Sequence[KpaSample], scenario=None) -> str:
+    """Render the Fig. 6 style report from flat KPA samples.
+
+    Columns follow the lockers of ``scenario`` and Fig. 6a rows its
+    benchmarks; benchmarks the samples hold beyond them come after them in
+    sorted order, so the same records print the same table whether they
+    come from a serial run, a process pool or a store.  Without a scenario
+    both are sorted.
+    """
     per_benchmark, average = kpa_tables_from_samples(samples)
-    if algorithms is None:
-        algorithms = sorted(average)
-    return _render_report(per_benchmark, average, list(algorithms))
+    if scenario is None:
+        algorithms, known = sorted(average), []
+    else:
+        algorithms = [spec.algorithm for spec in scenario.lockers]
+        known = [name for name in scenario.benchmarks
+                 if name in per_benchmark]
+    rows = known + sorted(set(per_benchmark) - set(known))
+    return _render_report({name: per_benchmark[name] for name in rows},
+                          average, algorithms)
 
 
 def experiment_report_from_store(store) -> str:
     """Render the Fig. 6 style report straight from a results store.
 
-    The store's manifest provides the scenario (and therefore the algorithm
-    column order); KPA data comes from the per-job records — nothing is kept
-    in memory between the run and the report.
+    The store's manifest provides the scenario (and therefore the column
+    and row order); KPA data comes from the per-job records — nothing is
+    kept in memory between the run and the report.
     """
-    scenario = store.scenario()
-    algorithms = [spec.algorithm for spec in scenario.lockers]
-    return report_from_samples(store.kpa_samples(), algorithms=algorithms)
+    return report_from_samples(store.kpa_samples(), store.scenario())
 
 
 def store_context(store) -> tuple:
@@ -315,9 +319,7 @@ def store_report(store, context: Optional[tuple] = None) -> str:
 
     samples = kpa_samples_from_records(records)
     if samples:
-        algorithms = ([spec.algorithm for spec in scenario.lockers]
-                      if scenario is not None else None)
-        parts += ["", report_from_samples(samples, algorithms=algorithms)]
+        parts += ["", report_from_samples(samples, scenario)]
 
     for sweep in axis_sweeps_from_records(records):
         parts += ["", axis_sweep_table_text(sweep)]

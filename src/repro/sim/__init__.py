@@ -68,7 +68,6 @@ from .plan import (
 )
 from .plan_cache import (
     PlanCacheInfo,
-    cached_simulator,
     clear_plan_cache,
     get_plan,
     plan_cache_info,
@@ -125,7 +124,6 @@ __all__ = [
     "set_default_max_lanes",
     "unpack_values",
     "PlanCacheInfo",
-    "cached_simulator",
     "clear_plan_cache",
     "get_plan",
     "plan_cache_info",

@@ -26,7 +26,7 @@ from typing import Union
 
 from ..rtlir.design import Design
 from .evaluator import SimulationError
-from .plan import BatchCompileError, BatchSimulator, EvalPlan, compile_plan
+from .plan import BatchCompileError, EvalPlan, compile_plan
 
 #: Default number of plans kept by the process-wide cache.
 DEFAULT_CACHE_SIZE = 128
@@ -85,11 +85,6 @@ def _store(fingerprint: str,
     _cache.move_to_end(fingerprint)
     while len(_cache) > _maxsize:
         _cache.popitem(last=False)
-
-
-def cached_simulator(design: Design) -> BatchSimulator:
-    """A :class:`BatchSimulator` over the design's cached plan."""
-    return BatchSimulator(design, plan=get_plan(design))
 
 
 def warm_plan_cache(design: Design) -> bool:

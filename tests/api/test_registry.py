@@ -35,7 +35,8 @@ class TestBuiltins:
         assert {"avalanche", "corruption", "key-sensitivity"} <= set(names)
 
     def test_make_locker_constructs_by_name(self):
-        from repro.locking import AssureLocker, ERALocker
+        from repro.locking import (AssureLocker, ERALocker, GreedyLocker,
+                                   HRALocker)
 
         rng = random.Random(0)
         assert isinstance(make_locker("era", rng), ERALocker)
@@ -43,6 +44,8 @@ class TestBuiltins:
         assert make_locker("assure-serial", rng).selection == "serial"
         assert make_locker("assure-random", rng).selection == "random"
         assert isinstance(make_locker("assure", rng), AssureLocker)
+        assert isinstance(make_locker("hra", rng), HRALocker)
+        assert isinstance(make_locker("greedy", rng), GreedyLocker)
 
     def test_make_attack_constructs_by_name(self):
         from repro.attacks import MajorityVoteAttack, SnapShotAttack

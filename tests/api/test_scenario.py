@@ -175,17 +175,14 @@ class TestExpansion:
             JobSpec(kind="attack", benchmark="SASC", locker=LockerSpec("era"),
                     sample=0, seed=0, scale=1.0)  # missing attack spec
 
-    def test_from_experiment_config_equivalence(self):
-        from repro.eval import ExperimentConfig
-
-        config = ExperimentConfig(benchmarks=["SASC"], algorithms=("era",),
-                                  scale=0.2, n_test_lockings=3,
-                                  relock_rounds=8, automl_time_budget=2.0,
-                                  functional_vectors=16, seed=11)
-        scenario = config.to_scenario()
-        assert scenario.benchmarks == ("SASC",)
-        assert scenario.samples == 3
-        (attack,) = scenario.attacks
-        assert attack.rounds == 8
-        assert attack.functional_vectors == 16
+    def test_evaluate_scenario_matches_golden_fingerprint(self):
+        """The scenario ``repro-lock evaluate`` builds from the CLI tests'
+        ``EVAL_ARGS``; the fingerprint was captured before the command
+        built its scenario straight from its flags."""
+        scenario = Scenario(
+            name="evaluate", benchmarks=("SASC",),
+            lockers=(LockerSpec("assure"), LockerSpec("era")),
+            attacks=(AttackSpec("snapshot", rounds=4, time_budget=0.5),),
+            samples=1, scale=0.15, seed=3)
+        assert scenario.fingerprint() == "c0ab999f"
         assert Scenario.from_dict(scenario.to_dict()) == scenario

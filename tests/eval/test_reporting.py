@@ -1,7 +1,7 @@
-"""Unit tests for the experiment report and shape checks."""
+"""Unit tests for the Fig. 6 report and shape checks."""
 
-from repro.eval.experiment import ExperimentConfig, SnapShotExperiment
-from repro.eval.reporting import ShapeCheck, experiment_report, shape_checks
+from repro.api import AttackSpec, LockerSpec, Runner, Scenario
+from repro.eval.reporting import ShapeCheck, report_from_samples, shape_checks
 
 
 class TestShapeChecks:
@@ -40,17 +40,13 @@ class TestShapeChecks:
 
 class TestExperimentReport:
     def test_report_contains_tables_and_checks(self):
-        config = ExperimentConfig(
-            benchmarks=["SASC"],
-            algorithms=("assure", "era"),
-            scale=0.15,
-            n_test_lockings=1,
-            relock_rounds=5,
-            automl_time_budget=1.0,
-            seed=7,
-        )
-        result = SnapShotExperiment(config).run()
-        report = experiment_report(result)
+        scenario = Scenario(
+            name="report", benchmarks=("SASC",),
+            lockers=(LockerSpec("assure"), LockerSpec("era")),
+            attacks=(AttackSpec("snapshot", rounds=5, time_budget=1.0),),
+            samples=1, scale=0.15, seed=7)
+        samples = Runner(scenario).run().kpa_samples()
+        report = report_from_samples(samples, scenario)
         assert "Fig. 6a" in report
         assert "Fig. 6b" in report
         assert "Shape checks" in report

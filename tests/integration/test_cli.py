@@ -205,6 +205,12 @@ class TestRunScenario:
         assert reference, "evaluate must write job records"
         assert self._records(serial_store) == reference
         assert self._records(parallel_store) == reference
+        # The flags still declare the scenario they declared before evaluate
+        # ran on the Runner (golden fingerprint; its records digest is
+        # pinned in tests/api/test_runner_store.py).
+        from repro.api import Scenario
+
+        assert Scenario.from_file(scenario_file).fingerprint() == "c0ab999f"
 
     def test_rerun_executes_zero_jobs(self, tmp_path, capsys):
         store = tmp_path / "store"
@@ -222,6 +228,60 @@ class TestRunScenario:
         assert "0 executed, 2 skipped" in second
         manifest = json.loads((store / "manifest.json").read_text())
         assert manifest["total_records"] == 2
+
+    def test_evaluate_reports_failed_jobs_and_exits_1(self, tmp_path,
+                                                       capsys):
+        """A failing job must not end ``evaluate`` in a traceback: it
+        prints the failed-jobs table and exits 1, as ``run`` does."""
+        from repro.api import LOCKERS, register_locker
+
+        @register_locker("cli-failing-locker")
+        def factory(rng, pair_table=None, track_metrics=False, **_):
+            raise RuntimeError("locker exploded")
+
+        try:
+            code = main(["evaluate", "--benchmarks", "SASC",
+                         "--algorithms", "cli-failing-locker", "era",
+                         "--scale", "0.15", "--samples", "1",
+                         "--rounds", "4", "--time-budget", "0.5",
+                         "--store", str(tmp_path / "store")])
+        finally:
+            LOCKERS.unregister("cli-failing-locker")
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "1 job(s) failed past their retry budget" in out
+        assert "attack__SASC__cli-failing-locker__snapshot__s0" in out
+        # The healthy cell still ran and was committed.
+        assert [path.stem for path in (tmp_path / "store" / "jobs")
+                .glob("*.json")] == ["attack__SASC__era__snapshot__s0"]
+
+    @staticmethod
+    def _fig6a(out):
+        start = out.index("KPA (%) per benchmark (Fig. 6a)")
+        return out[start:out.index("\n\n", start)]
+
+    def test_fig6a_rows_follow_the_scenario_on_every_path(self, tmp_path,
+                                                          capsys):
+        """evaluate, run, run --jobs 2 and report print one Fig. 6a table.
+
+        SASC is listed first although N_1023 costs more (the scheduler runs
+        it first) and sorts first by job id (the order of a store)."""
+        scenario_file = tmp_path / "scenario.json"
+        assert main(["evaluate", "--benchmarks", "SASC", "N_1023",
+                     "--algorithms", "assure", "era", "--scale", "0.1",
+                     "--samples", "1", "--rounds", "3",
+                     "--time-budget", "0.5", "--seed", "2",
+                     "--store", str(tmp_path / "eval"),
+                     "--emit-scenario", str(scenario_file)]) == 0
+        tables = [self._fig6a(capsys.readouterr().out)]
+        for store, extra in (("serial", []), ("pool", ["--jobs", "2"])):
+            assert main(["run", str(scenario_file), "-q",
+                         "--store", str(tmp_path / store), *extra]) == 0
+            tables.append(self._fig6a(capsys.readouterr().out))
+        assert main(["report", str(tmp_path / "serial")]) == 0
+        tables.append(self._fig6a(capsys.readouterr().out))
+        assert tables[0].index("SASC") < tables[0].index("N_1023")
+        assert tables == [tables[0]] * 4
 
     def test_run_smoke_scenario_with_metrics(self, tmp_path, capsys):
         from pathlib import Path

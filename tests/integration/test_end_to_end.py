@@ -12,7 +12,8 @@ import pytest
 
 from repro.attacks import LocalityExtractor, SnapShotAttack, kpa
 from repro.bench import load_benchmark
-from repro.eval import ExperimentConfig, SnapShotExperiment, experiment_report
+from repro.api import AttackSpec, LockerSpec, Runner, Scenario
+from repro.eval import kpa_tables_from_samples, report_from_samples
 from repro.locking import AssureLocker, ERALocker, HRALocker, odt_from_design
 from repro.ml import CategoricalNB
 from repro.rtlir import Design
@@ -95,20 +96,19 @@ class TestHeadlineSecurityClaim:
 
 class TestExperimentPipeline:
     def test_tiny_experiment_produces_full_report(self):
-        config = ExperimentConfig(
-            benchmarks=["USB_PHY", "N_1023"],
-            algorithms=("assure", "era"),
-            scale=0.1,
-            n_test_lockings=1,
-            relock_rounds=6,
-            automl_time_budget=1.5,
-            seed=11,
-        )
-        result = SnapShotExperiment(config).run()
-        table = result.kpa_table()
-        assert set(table) == {"USB_PHY", "N_1023"}
-        report = experiment_report(result)
-        assert "Average KPA" in report
+        scenario = Scenario(
+            name="tiny", benchmarks=("USB_PHY", "N_1023"),
+            lockers=(LockerSpec("assure"), LockerSpec("era")),
+            attacks=(AttackSpec("snapshot", rounds=6, time_budget=1.5),),
+            samples=1, scale=0.1, seed=11)
+        report = Runner(scenario).run()
+        assert not report.failures
+        samples = report.kpa_samples()
+        per_benchmark, _ = kpa_tables_from_samples(samples)
+        assert set(per_benchmark) == {"USB_PHY", "N_1023"}
+        text = report_from_samples(samples, scenario)
+        assert "Average KPA" in text
+        assert text.index("USB_PHY") < text.index("N_1023")
 
     def test_localities_consistent_between_defender_and_attacker_views(self):
         # The labels the defender stores must equal what the extractor reads

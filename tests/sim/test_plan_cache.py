@@ -9,7 +9,7 @@ from repro.locking import AssureLocker
 from repro.rtlir import Design
 from repro.sim import (
     BatchCompileError,
-    cached_simulator,
+    BatchSimulator,
     clear_plan_cache,
     get_plan,
     plan_cache_info,
@@ -112,15 +112,15 @@ class TestTouch:
         assert design.fingerprint() != before
 
     def test_stale_plan_cannot_be_served_after_touch(self):
-        from repro.sim import cached_simulator
-
         design, node = self._design_and_op_node()
-        plus = cached_simulator(design).run({"a": 7, "b": 2})
+        plus = BatchSimulator(design, plan=get_plan(design)).run(
+            {"a": 7, "b": 2})
         assert plus["y"] == 9
 
         node.op = "-"
         design.touch()
-        minus = cached_simulator(design).run({"a": 7, "b": 2})
+        minus = BatchSimulator(design, plan=get_plan(design)).run(
+            {"a": 7, "b": 2})
         assert minus["y"] == 5, "stale '+' plan must not be served"
         # The scalar oracle agrees with the freshly compiled plan.
         from repro.sim import CombinationalSimulator
@@ -168,12 +168,11 @@ class TestPlanCache:
         assert get_plan(design) is get_plan(design.copy())
         assert plan_cache_info().misses == 1
 
-    def test_cached_simulator_matches_direct_simulation(self):
+    def test_simulator_on_cached_plan_matches_direct_simulation(self):
         design = _locked_md5()
-        simulator = cached_simulator(design)
+        simulator = BatchSimulator(design, plan=get_plan(design))
         assert simulator.plan is get_plan(design)
         batch = simulator.random_batch(random.Random(0), 4)
-        from repro.sim import BatchSimulator
         direct = BatchSimulator(design)
         assert simulator.run_batch(batch, key=design.correct_key, n=4) == \
             direct.run_batch(batch, key=design.correct_key, n=4)
