@@ -1,16 +1,10 @@
-"""Unit tests for the evaluation experiment pipeline."""
+"""Unit tests for constructing the evaluated lockers by algorithm name."""
 
 import random
 
 import pytest
 
-from repro.eval.experiment import (
-    CellResult,
-    ExperimentConfig,
-    ExperimentResult,
-    SnapShotExperiment,
-    make_locker,
-)
+from repro.api import make_locker
 from repro.locking import AssureLocker, ERALocker, GreedyLocker, HRALocker
 
 
@@ -27,108 +21,3 @@ class TestMakeLocker:
     def test_unknown_algorithm(self):
         with pytest.raises(ValueError):
             make_locker("magic", random.Random(0))
-
-
-class TestBudgets:
-    def test_budget_is_75_percent_by_default(self):
-        config = ExperimentConfig(scale=0.1, seed=0)
-        experiment = SnapShotExperiment(config)
-        design = experiment.load_design("MD5")
-        budget = experiment.key_budget_for(design, "MD5", "assure")
-        assert budget == int(round(0.75 * design.num_operations()))
-
-    def test_n2046_era_uses_full_budget(self):
-        config = ExperimentConfig(scale=0.02, seed=0)
-        experiment = SnapShotExperiment(config)
-        design = experiment.load_design("N_2046")
-        assert experiment.key_budget_for(design, "N_2046", "era") == \
-            design.num_operations()
-        assert experiment.key_budget_for(design, "N_2046", "assure") == \
-            int(round(0.75 * design.num_operations()))
-
-
-class TestRunCell:
-    @pytest.fixture
-    def quick_config(self):
-        return ExperimentConfig(
-            benchmarks=["SASC"],
-            algorithms=("assure", "era"),
-            scale=0.15,
-            n_test_lockings=2,
-            relock_rounds=6,
-            automl_time_budget=1.0,
-            seed=3,
-        )
-
-    def test_cell_result_shape(self, quick_config):
-        experiment = SnapShotExperiment(quick_config)
-        design = experiment.load_design("SASC")
-        cell = experiment.run_cell(design, "SASC", "assure")
-        assert cell.benchmark == "SASC"
-        assert cell.algorithm == "assure"
-        assert len(cell.attacks) == 2
-        assert 0.0 <= cell.mean_kpa <= 100.0
-        assert cell.key_budget >= 1
-
-    def test_empty_cell_mean_raises(self):
-        with pytest.raises(ValueError):
-            CellResult("X", "assure").mean_kpa
-
-    def test_full_run_and_aggregations(self, quick_config):
-        result = SnapShotExperiment(quick_config).run()
-        assert isinstance(result, ExperimentResult)
-        assert len(result.cells) == 2  # 1 benchmark x 2 algorithms
-
-        table = result.kpa_table()
-        assert set(table) == {"SASC"}
-        assert set(table["SASC"]) == {"assure", "era"}
-
-        average = result.average_kpa()
-        assert set(average) == {"assure", "era"}
-
-        samples = result.kpa_samples()
-        assert len(samples) == 4  # 2 algorithms x 2 lockings
-        by_benchmark = result.aggregate_by_benchmark()
-        assert by_benchmark["SASC"].count == 4
-
-    def test_run_is_reproducible_with_same_seed(self, quick_config):
-        first = SnapShotExperiment(quick_config).run().kpa_table()
-        second = SnapShotExperiment(quick_config).run().kpa_table()
-        assert first == second
-
-
-class TestFunctionalValidation:
-    def test_functional_vectors_flow_into_results(self):
-        config = ExperimentConfig(
-            benchmarks=["SASC"],
-            algorithms=("assure",),
-            scale=0.15,
-            n_test_lockings=1,
-            relock_rounds=4,
-            automl_time_budget=0.5,
-            functional_vectors=16,
-            seed=5,
-        )
-        result = SnapShotExperiment(config).run()
-        (cell,) = result.cells
-        (attack,) = cell.attacks
-        assert attack.functional_kpa is not None
-        assert 0.0 <= attack.functional_kpa <= 100.0
-        (sample,) = result.kpa_samples()
-        assert sample.metadata["functional_kpa"] == attack.functional_kpa
-
-    def test_functional_validation_off_by_default(self):
-        config = ExperimentConfig(
-            benchmarks=["SASC"],
-            algorithms=("assure",),
-            scale=0.15,
-            n_test_lockings=1,
-            relock_rounds=4,
-            automl_time_budget=0.5,
-            seed=5,
-        )
-        result = SnapShotExperiment(config).run()
-        (attack,) = result.cells[0].attacks
-        assert attack.functional_kpa is None
-        (sample,) = result.kpa_samples()
-        assert "functional_kpa" not in sample.metadata
