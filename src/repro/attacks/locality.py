@@ -252,46 +252,55 @@ def _key_bit_index(cond: ast.Expression, key_port: str) -> Optional[int]:
 
 
 def _key_controlled_nodes(design: Design) -> Dict[int, _ControlContext]:
-    """Map key-bit index -> structural context of the controlled ternary."""
+    """Map key-bit index -> structural context of the controlled ternary.
+
+    One pre-order scan per module item, on an explicit stack that carries
+    each node's parent and ternary nesting depth; a context is built only
+    for ternaries whose condition reads a key bit, and leaves (nodes without
+    child fields) are never pushed.  Relocking clones key ternaries into the
+    dummy operands of ancestors locked later, so one index can occur more
+    than once: the last ternary in pre-order wins.
+    """
     key_port = design.key_port
     assert key_port is not None
     contexts: Dict[int, _ControlContext] = {}
 
     for item in design.top.items:
-        for node, parent, depth in _walk_expressions(item):
-            if not isinstance(node, ast.TernaryOp):
-                continue
-            index = _key_bit_index(node.cond, key_port)
-            if index is None:
-                continue
-            parent_code = NO_OPERATION
-            if isinstance(parent, ast.BinaryOp):
-                try:
-                    parent_code = encode_operator(normalize_operator(parent.op))
-                except KeyError:
-                    parent_code = NO_OPERATION
-            contexts[index] = _ControlContext(
-                true_code=_branch_operation_code(node.true_value),
-                false_code=_branch_operation_code(node.false_value),
-                parent_code=parent_code,
-                depth=depth,
-                container_code=_container_code(item),
-            )
+        container_code = _container_code(item)
+        stack: List[Tuple[ast.Node, Optional[ast.Node], int]] = [(item, None, 0)]
+        push = stack.append
+        while stack:
+            node, parent, depth = stack.pop()
+            if isinstance(node, ast.TernaryOp):
+                index = _key_bit_index(node.cond, key_port)
+                if index is not None:
+                    contexts[index] = _ControlContext(
+                        true_code=_branch_operation_code(node.true_value),
+                        false_code=_branch_operation_code(node.false_value),
+                        parent_code=_operation_code(parent),
+                        depth=depth,
+                        container_code=container_code,
+                    )
+                depth += 1
+            # Children go on in reverse so they come off in field order.
+            for name in reversed(node._fields):
+                value = getattr(node, name)
+                if value is None:
+                    continue
+                if type(value) is list:
+                    for child in reversed(value):
+                        if child._fields:
+                            push((child, node, depth))
+                elif value._fields:
+                    push((value, node, depth))
     return contexts
 
 
-def _walk_expressions(item: ast.ModuleItem):
-    """Yield ``(node, parent, ternary_depth)`` for all expression nodes of an item."""
-
-    def visit(node: ast.Node, parent: Optional[ast.Node], depth: int):
-        if isinstance(node, ast.TernaryOp):
-            yield node, parent, depth
-            child_depth = depth + 1
-        else:
-            if isinstance(node, ast.Expression):
-                yield node, parent, depth
-            child_depth = depth
-        for child in node.children():
-            yield from visit(child, node, child_depth)
-
-    yield from visit(item, None, 0)
+def _operation_code(node: Optional[ast.Node]) -> int:
+    """Encoded operator of a binary-operation parent, else ``NO_OPERATION``."""
+    if isinstance(node, ast.BinaryOp):
+        try:
+            return encode_operator(normalize_operator(node.op))
+        except KeyError:
+            pass
+    return NO_OPERATION

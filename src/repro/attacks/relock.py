@@ -8,9 +8,11 @@ of those new key bits become labelled training samples (Fig. 2 of the paper,
 
 The paper relocks with *random* ASSURE selection "so that all parts of the
 design were used for learning"; :class:`TrainingSetBuilder` does the same.
-Each round locks the target in place and rolls the locks back afterwards
-through the :class:`~repro.locking.base.LockingSession` undo stack, so the
-loop never copies the design.
+One :class:`~repro.locking.base.LockingSession` serves every round of a
+training set: each round locks the target in place and rolls the locks
+back through the session's undo stack, which leaves the session equal to a
+freshly opened one, so the loop neither copies the design nor re-reads its
+operation sites.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import logging
 import random
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -83,11 +85,13 @@ class TrainingSetBuilder:
               ) -> TrainingSet:
         """Relock ``target`` ``rounds`` times and extract labelled localities.
 
-        Each round relocks ``target`` in place, extracts the localities of
-        the round's new key bits and rolls the locks back through the
-        session's undo stack, so no round copies the design.  ``target`` is
-        left exactly as it was — also when extraction raises — but it must
-        not be read by anyone else while ``build`` runs.
+        One random-selection ASSURE session is opened on ``target`` for the
+        whole build.  Each round re-seeds the locker's random source,
+        relocks ``target`` in place, extracts the localities of the round's
+        new key bits and rolls the locks back through the session's undo
+        stack, so no round copies the design or opens a session.  ``target``
+        is left exactly as it was — also when extraction raises — but it
+        must not be read by anyone else while ``build`` runs.
 
         Simulation-backed feature sets (``behavioral``) evaluate all of a
         round's fresh key bits as lanes of a single bit-parallel key sweep
@@ -111,19 +115,17 @@ class TrainingSetBuilder:
         budget = self.relock_budget or target.key_width
         original_width = target.key_width
 
+        locker = AssureLocker(selection="random", pair_table=self.pair_table,
+                              rng=random.Random(), track_metrics=False)
+        session = locker.open_session(target)
         feature_blocks: List[np.ndarray] = []
         label_blocks: List[np.ndarray] = []
         for round_index in range(self.rounds):
-            locker = AssureLocker(
-                selection="random",
-                pair_table=self.pair_table,
-                rng=random.Random(self.rng.getrandbits(64)),
-                track_metrics=False,
-            )
-            # Lock the target itself, read this round's localities, then
-            # undo every lock: a fresh session per round sees exactly the
-            # design (and builds exactly the ODT) a copy would have.
-            session = locker.open_session(target)
+            # ``seed(n)`` starts the stream ``Random(n)`` would, so every
+            # round draws what a locker of its own would have drawn.  The
+            # rollback below leaves the session as freshly opened, so each
+            # round sees exactly the design and ODT a copy would have.
+            locker.rng.seed(self.rng.getrandbits(64))
             try:
                 locker.lock_session(session, key_budget=budget)
                 features, labels = self.extractor.extract_matrix(

@@ -8,9 +8,13 @@
 * the live :class:`~repro.locking.odt.OperationDistributionTable`,
 * the key-bit records and the key input port of the design,
 * an undo stack so heuristics can tentatively apply a lock, evaluate the
-  security metric and roll back (Algorithm 4, line 17), and so the SnapShot
-  training loop can relock its target in place and :meth:`rollback
-  <LockingSession.rollback>` each round instead of copying the design.
+  security metric and roll back (Algorithm 4, line 17).  Undo is complete:
+  it restores the AST, the key records and port, the operation registry and
+  the ODT (counts and affected-pair marks), so after :meth:`rollback
+  <LockingSession.rollback>` the session equals a freshly opened one.  The
+  SnapShot training loop relies on this: it keeps one session per training
+  set and relocks its target in place each round instead of copying the
+  design or re-opening a session.
 
 Three locking primitives are provided, mirroring ASSURE's three techniques:
 
@@ -80,6 +84,7 @@ class LockAction:
     dummy_op: Optional[str] = None
     dummy_ref: Optional[OpRef] = None
     real_ref: Optional[OpRef] = None
+    newly_affected: List[str] = field(default_factory=list)
     metadata: Dict[str, object] = field(default_factory=dict)
 
     @property
@@ -131,9 +136,19 @@ class LockingSession:
         self._ops.append(ref)
         self._ops_by_type.setdefault(ref.op, []).append(ref)
 
-    def _unregister(self, ref: OpRef) -> None:
-        self._ops.remove(ref)
-        self._ops_by_type[ref.op].remove(ref)
+    def _unregister_last(self, ref: OpRef) -> None:
+        """Remove ``ref``, the most recently registered reference.
+
+        Only undo unregisters, and undo is LIFO, so the reference is always
+        the last one in both lists.
+        """
+        same_type = self._ops_by_type[ref.op]
+        if self._ops[-1] is not ref or same_type[-1] is not ref:
+            raise LockingError("undo is only supported in LIFO order")
+        self._ops.pop()
+        same_type.pop()
+        if not same_type:
+            del self._ops_by_type[ref.op]
 
     def _mark_existing_locks_affected(self) -> None:
         for bit in self.design.key_bits:
@@ -277,14 +292,15 @@ class LockingSession:
                           is_dummy=True, lock_count=1)
         self._register(dummy_ref)
 
-        self.odt.add_operation(dummy_op)
-        self.odt.mark_affected(real_op)
-        self.odt.mark_affected(dummy_op)
+        self.odt.add_operation(dummy_op, mark_affected=False)
+        newly_affected = [op for op in (real_op, dummy_op)
+                          if self.odt.mark_affected(op)]
 
         action = LockAction(kind="operation", key_bits=[bit], parent=old_parent,
                             original=real_node, replacement=ternary,
                             real_op=real_op, dummy_op=dummy_op,
-                            dummy_ref=dummy_ref, real_ref=ref)
+                            dummy_ref=dummy_ref, real_ref=ref,
+                            newly_affected=newly_affected)
         self.actions.append(action)
         return action
 
@@ -376,9 +392,11 @@ class LockingSession:
             assert action.real_ref is not None and action.dummy_ref is not None
             action.real_ref.parent = action.parent
             action.real_ref.lock_count -= 1
-            self._unregister(action.dummy_ref)
+            self._unregister_last(action.dummy_ref)
             assert action.dummy_op is not None
             self.odt.remove_operation(action.dummy_op)
+            for op in action.newly_affected:
+                self.odt.unmark_affected(op)
         elif action.kind == "branch":
             statement = action.parent
             assert isinstance(statement, ast.IfStatement)
@@ -402,8 +420,9 @@ class LockingSession:
         """Undo every action of the session (most recent first).
 
         Afterwards the design's AST, key records and key port are those the
-        session started from.  The ODT's affected-pair marks are not undone,
-        so a rolled-back session should be discarded rather than reused.
+        session started from, and so are the operation registry (order,
+        parents, lock counts) and the ODT (counts and affected-pair marks):
+        the session equals a freshly opened one and can lock again.
         """
         self.undo_last(len(self.actions))
 

@@ -122,10 +122,23 @@ class OperationDistributionTable:
             raise ValueError(f"cannot remove operator {op!r}: count is zero")
         self._counts[op] = current - 1
 
-    def mark_affected(self, op: str) -> None:
-        """Mark the pair containing ``op`` as affected by locking."""
-        if self.pair_table.has_pair(op):
-            self._affected.add(frozenset(self.pair_table.pair_of(op)))
+    def mark_affected(self, op: str) -> bool:
+        """Mark the pair containing ``op`` as affected by locking.
+
+        Returns ``True`` when this call set the mark, so an undo can clear
+        exactly the marks its action set (:meth:`unmark_affected`).
+        """
+        if not self.pair_table.has_pair(op):
+            return False
+        pair = frozenset(self.pair_table.pair_of(op))
+        if pair in self._affected:
+            return False
+        self._affected.add(pair)
+        return True
+
+    def unmark_affected(self, op: str) -> None:
+        """Clear the affected mark of the pair containing ``op`` (undo support)."""
+        self._affected.discard(frozenset(self.pair_table.pair_of(op)))
 
     def set_affected(self, pairs: Iterable[Tuple[str, str]]) -> None:
         """Mark an explicit set of pairs as affected (used when re-wrapping)."""

@@ -13,15 +13,15 @@ accessors for operation sites.
 
 from __future__ import annotations
 
-import copy
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..verilog import ast_nodes as ast
 from ..verilog.codegen import generate
 from ..verilog.parser import parse
+from ..verilog.transform import clone
 from .sites import SiteCollection, collect_sites
 
 #: Default name of the key input port added by the locking engine.
@@ -216,8 +216,17 @@ class Design:
         return generate(self.source)
 
     def copy(self) -> "Design":
-        """Return an independent deep copy (AST and key records)."""
-        return copy.deepcopy(self)
+        """Return an independent deep copy (AST and key records).
+
+        The AST is copied with :func:`~repro.verilog.transform.clone`; each
+        key record is copied with its own ``metadata`` dict (whose values
+        are scalars).
+        """
+        key_bits = [replace(bit, metadata=dict(bit.metadata))
+                    for bit in self.key_bits]
+        return Design(clone(self.source), top_name=self.top_name,
+                      key_port=self.key_port, key_bits=key_bits,
+                      name=self.name)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Design(name={self.name!r}, top={self.top_name!r}, "

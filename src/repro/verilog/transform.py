@@ -8,7 +8,6 @@ to clone subtrees, add ports and signals, and swap expressions.  The policy
 
 from __future__ import annotations
 
-import copy
 from typing import List, Optional, Sequence
 
 from . import ast_nodes as ast
@@ -17,8 +16,26 @@ from .visitor import find_parent_map, walk
 
 
 def clone(node: ast.Node) -> ast.Node:
-    """Return a deep copy of an AST subtree."""
-    return copy.deepcopy(node)
+    """Return a deep copy of an AST subtree.
+
+    The copy is structural: every attribute of a node is copied, child
+    nodes recursively, lists (child lists and the ``names`` of declarations)
+    as new lists, and strings, numbers, booleans and ``None`` as they are.
+    No memo dict is kept, so a subtree reachable twice — the parser gives
+    the ports of one ``input [7:0] a, b`` declaration a shared
+    :class:`~repro.verilog.ast_nodes.Range` — is copied twice; the rendered
+    source is the same and nothing mutates such nodes in place.
+    """
+    copied = object.__new__(type(node))
+    state = copied.__dict__
+    for name, value in node.__dict__.items():
+        if isinstance(value, ast.Node):
+            value = clone(value)
+        elif type(value) is list:
+            value = [clone(item) if isinstance(item, ast.Node) else item
+                     for item in value]
+        state[name] = value
+    return copied
 
 
 def add_port(module: ast.Module, name: str, direction: str,

@@ -225,12 +225,24 @@ class TestErrorPaths:
 
 
 class TestCancelAndShutdown:
-    def test_cancel_queued_job(self, server, client):
-        # Worker 1 is busy with the first job; the second is deterministic
-        # to cancel while still queued.
+    def test_cancel_queued_job(self, server, client, monkeypatch):
+        # The single worker holds the blocker until the cancel has returned,
+        # so the victim is provably still queued when it is cancelled.
+        release = threading.Event()
+        run_job = server._run_job
+
+        def held_run_job(job):
+            if job.scenario.name == "blocker":
+                release.wait(timeout=60)
+            run_job(job)
+
+        monkeypatch.setattr(server, "_run_job", held_run_job)
         blocker = client.submit(tiny_scenario(name="blocker", samples=2))
         victim = client.submit(tiny_scenario(name="victim", seed=11))
-        cancelled = client.cancel(victim["job_id"])
+        try:
+            cancelled = client.cancel(victim["job_id"])
+        finally:
+            release.set()
         assert cancelled["state"] == "cancelled"
         final = client.wait(victim["job_id"])
         assert final["state"] == "cancelled"

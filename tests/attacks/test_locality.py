@@ -119,6 +119,25 @@ class TestExtendedFeatures:
         features, _ = LocalityExtractor("extended").extract_matrix(design)
         assert features[0, 2] == encode_operator("*")
 
+    @pytest.mark.parametrize("outer_value, parent_op", [(1, "/"), (0, "*")])
+    def test_cloned_key_ternary_last_in_preorder_wins(self, rng, outer_value,
+                                                      parent_op):
+        design = Design.from_verilog("""
+        module p (input [3:0] a, b, c, output [3:0] y);
+          assign y = (a + b) * c;
+        endmodule
+        """)
+        session = LockingSession(design, rng=rng)
+        session.add_pair(session.ops_of_type("+")[0], correct_value=1)
+        # Locking the product clones K[0]'s ternary into the dummy quotient:
+        # y = K[1] ? (t * c) : (t' / c), or the branches swapped for 0.
+        session.add_pair(session.ops_of_type("*")[0],
+                         correct_value=outer_value)
+        features, _ = LocalityExtractor("extended").extract_matrix(
+            design, key_indices=[0])
+        assert features[0, 2] == encode_operator(parent_op)
+        assert features[0, 3] == 1
+
 
 class TestBehavioralFeatures:
     def test_behavioral_feature_width(self, mixer_design, rng):

@@ -8,7 +8,7 @@ import pytest
 
 from repro.attacks import LocalityExtractor, TrainingSetBuilder
 from repro.bench import load_benchmark
-from repro.locking import AssureLocker, ERALocker
+from repro.locking import AssureLocker, ERALocker, LockingSession
 
 
 class TestTrainingSetBuilder:
@@ -174,6 +174,19 @@ class TestInPlaceRelocking:
         assert target.to_verilog() == text
         assert target.fingerprint() == fingerprint
         assert target.correct_key == key
+
+    def test_one_session_serves_every_round(self, monkeypatch):
+        target = _locked_target("MD5", "assure")
+        opened = []
+        original_init = LockingSession.__init__
+
+        def counting_init(self, *args, **kwargs):
+            opened.append(self)
+            original_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(LockingSession, "__init__", counting_init)
+        TrainingSetBuilder(rounds=6, rng=random.Random(4)).build(target)
+        assert len(opened) == 1
 
     @pytest.mark.parametrize("fail_on", [1, 3])
     def test_raising_extractor_propagates_and_restores_target(self, fail_on):

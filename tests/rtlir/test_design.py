@@ -1,9 +1,14 @@
 """Unit tests for the Design wrapper and KeyBit records."""
 
+import copy
+import random
+
 import pytest
 
+from repro.bench import load_benchmark
 from repro.locking import AssureLocker
 from repro.rtlir import Design, KeyBit
+from repro.verilog import ast
 
 from ..conftest import MIXER_SOURCE
 
@@ -77,6 +82,35 @@ class TestCopyAndSerialisation:
         duplicate.top.items.pop()
         assert locked.key_width == 3
         assert len(locked.top.items) != len(duplicate.top.items)
+
+    @pytest.mark.parametrize("name", ["MD5", "I2C_SL"])
+    def test_copy_keeps_content_and_owns_its_state(self, name):
+        design = load_benchmark(name, scale=0.2)
+        locked = AssureLocker("serial", rng=random.Random(3)).lock(
+            design, design.num_operations() // 2).design
+        text = locked.to_verilog()
+        records = copy.deepcopy(locked.key_bits)
+        duplicate = locked.copy()
+        assert duplicate.fingerprint() == locked.fingerprint()
+        assert duplicate.key_bits == locked.key_bits
+        assert (duplicate.name, duplicate.top_name, duplicate.key_port) == (
+            locked.name, locked.top_name, locked.key_port)
+
+        # Mutate every part of the copy: AST, key records and key port.
+        ternary = next(node for node in duplicate.source.iter_tree()
+                       if isinstance(node, ast.TernaryOp))
+        ternary.true_value, ternary.false_value = (ternary.false_value,
+                                                   ternary.true_value)
+        duplicate.top.items.pop()
+        duplicate.key_bits[0].correct_value ^= 1
+        duplicate.key_bits[0].metadata["tampered"] = True
+        duplicate.key_bits.pop()
+        duplicate.top.find_port(duplicate.key_port).width.msb.value = "0"
+        duplicate.touch()
+        assert duplicate.to_verilog() != text
+
+        assert locked.to_verilog() == text
+        assert locked.key_bits == records
 
     def test_to_verilog_round_trips(self, mixer_design):
         text = mixer_design.to_verilog()

@@ -1,7 +1,12 @@
 """Unit tests for the structural transformation helpers."""
 
+import random
+from copy import deepcopy
+
 import pytest
 
+from repro.bench import benchmark_names, load_benchmark
+from repro.locking import AssureLocker
 from repro.verilog import ast
 from repro.verilog.codegen import generate
 from repro.verilog.errors import TransformError
@@ -21,6 +26,14 @@ from repro.verilog.transform import (
 from ..conftest import MIXER_SOURCE
 
 
+def _benchmark_source(name, locked):
+    design = load_benchmark(name, scale=0.2)
+    if locked:
+        design = AssureLocker("serial", rng=random.Random(1)).lock(
+            design, max(1, design.num_operations() // 2)).design
+    return design.source
+
+
 class TestClone:
     def test_clone_is_deep(self):
         module = parse_module(MIXER_SOURCE)
@@ -28,6 +41,27 @@ class TestClone:
         assert copy is not module
         copy.items[0].names[0] = "renamed"
         assert module.items[0].names[0] != "renamed"
+
+    @pytest.mark.parametrize("locked", [False, True],
+                             ids=["unlocked", "locked"])
+    @pytest.mark.parametrize("name", benchmark_names())
+    def test_clone_matches_deepcopy(self, name, locked):
+        source = _benchmark_source(name, locked)
+        copied = clone(source)
+        oracle = deepcopy(source)
+        assert generate(copied) == generate(oracle) == generate(source)
+        assert ([type(node) for node in copied.iter_tree()]
+                == [type(node) for node in oracle.iter_tree()])
+
+        original_nodes = {id(node) for node in source.iter_tree()}
+        original_lists = {id(value) for node in source.iter_tree()
+                          for value in vars(node).values()
+                          if isinstance(value, list)}
+        for node in copied.iter_tree():
+            assert id(node) not in original_nodes
+            for value in vars(node).values():
+                if isinstance(value, list):
+                    assert id(value) not in original_lists
 
 
 class TestPortsAndWires:
