@@ -11,17 +11,23 @@ The graph is used for
 
 Nodes are either *signal* nodes (named wires/regs/ports) or *operation* nodes
 (one per lockable operation site).  Edges point from producers to consumers.
+The graph is a plain insertion-ordered successor map: an operation node is
+keyed by its site index (an ``int``), a signal node by its name (a ``str``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
-
-import networkx as nx
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from ..verilog import ast_nodes as ast
 from .sites import OperationSite, SiteCollection, collect_sites
+
+#: A graph node key: a site index (operation node) or a signal name.
+Node = Union[int, str]
+
+#: Node -> its successors, both in insertion order (the values are unused).
+Successors = Dict[Node, Dict[Node, None]]
 
 
 @dataclass(frozen=True)
@@ -45,15 +51,94 @@ class OperationNode:
         return f"op{self.index}:{self.op}"
 
 
+def acyclic_view(graph: Successors) -> Successors:
+    """Return a copy of ``graph`` with one edge of every cycle removed.
+
+    A depth-first search runs from every node in node order, following
+    successors in order and skipping nodes finished by an earlier start.  At
+    a back edge ``u -> h`` it deletes the edge from ``h`` to the next node on
+    the active path (the self-loop itself when ``u`` is ``h``), forgets every
+    node discovered since that next node and resumes ``h``'s successors.
+    This removes exactly the edges that restarting the search from scratch
+    after each deletion would, in a single pass.
+    """
+    successors = {node: dict(children) for node, children in graph.items()}
+    explored: Set[Node] = set()
+    for root in successors:
+        if root in explored:
+            continue
+        found: List[Node] = [root]
+        found_at: Dict[Node, int] = {root: 0}
+        on_path: Dict[Node, int] = {root: 0}
+        path = [(root, iter(tuple(successors[root])))]
+        while path:
+            node, children = path[-1]
+            for child in children:
+                if child in explored:
+                    continue
+                level = on_path.get(child)
+                if level is not None:
+                    if child == node:
+                        del successors[node][node]
+                        continue
+                    cut, _ = path[level + 1]
+                    del successors[child][cut]
+                    since = found_at[cut]
+                    for forgotten in found[since:]:
+                        del found_at[forgotten]
+                    del found[since:]
+                    for dropped, _ in path[level + 1:]:
+                        del on_path[dropped]
+                    del path[level + 1:]
+                    break
+                if child in found_at:
+                    continue
+                found_at[child] = len(found)
+                found.append(child)
+                on_path[child] = len(path)
+                path.append((child, iter(tuple(successors[child]))))
+                break
+            else:
+                path.pop()
+                del on_path[node]
+        explored.update(found)
+    return successors
+
+
+def topological_order(graph: Successors) -> List[Node]:
+    """Return the nodes of the acyclic ``graph`` in topological order.
+
+    Generation by generation (Kahn): the nodes without predecessors in node
+    order, then the nodes their edges release, in successor order.
+    """
+    indegree = dict.fromkeys(graph, 0)
+    for children in graph.values():
+        for child in children:
+            indegree[child] += 1
+    generation = [node for node, count in indegree.items() if count == 0]
+    order: List[Node] = []
+    while generation:
+        order.extend(generation)
+        released: List[Node] = []
+        for node in generation:
+            for child in graph[node]:
+                indegree[child] -= 1
+                if indegree[child] == 0:
+                    released.append(child)
+        generation = released
+    return order
+
+
 class OperationGraph:
     """Dataflow graph of a single module.
 
     Attributes:
-        graph: The underlying :class:`networkx.DiGraph`.
+        graph: Node -> successor map (see :data:`Successors`); operation
+            nodes are site indices, signal nodes are signal names.
         sites: The operation sites the graph was built from.
     """
 
-    def __init__(self, graph: nx.DiGraph, sites: SiteCollection,
+    def __init__(self, graph: Successors, sites: SiteCollection,
                  module: ast.Module) -> None:
         self.graph = graph
         self.sites = sites
@@ -63,34 +148,28 @@ class OperationGraph:
 
     def operation_nodes(self) -> List[OperationNode]:
         """Return all operation nodes."""
-        return [n for n in self.graph.nodes if isinstance(n, OperationNode)]
+        op_of = {site.index: site.op for site in self.sites}
+        return [OperationNode(node, op_of[node]) for node in self.graph
+                if isinstance(node, int)]
 
     def signal_nodes(self) -> List[SignalNode]:
         """Return all signal nodes."""
-        return [n for n in self.graph.nodes if isinstance(n, SignalNode)]
+        return [SignalNode(node) for node in self.graph if isinstance(node, str)]
 
     def fanout(self, signal: str) -> int:
         """Return the out-degree of a signal node (0 if the signal is unknown)."""
-        node = SignalNode(signal)
-        if node not in self.graph:
-            return 0
-        return self.graph.out_degree(node)
+        return len(self.graph.get(signal, ()))
 
     def depth(self) -> int:
         """Return the longest path length (dataflow depth) ignoring cycles."""
-        acyclic = self._acyclic_view()
-        if acyclic.number_of_nodes() == 0:
-            return 0
-        return nx.dag_longest_path_length(acyclic)
-
-    def _acyclic_view(self) -> nx.DiGraph:
-        graph = self.graph.copy()
-        while True:
-            try:
-                cycle = nx.find_cycle(graph)
-            except nx.NetworkXNoCycle:
-                return graph
-            graph.remove_edge(*cycle[0][:2])
+        acyclic = acyclic_view(self.graph)
+        longest = dict.fromkeys(acyclic, 0)
+        for node in topological_order(acyclic):
+            reach = longest[node] + 1
+            for child in acyclic[node]:
+                if longest[child] < reach:
+                    longest[child] = reach
+        return max(longest.values(), default=0)
 
     def topological_site_order(self) -> List[OperationSite]:
         """Return sites ordered by topological position (ties by site index).
@@ -99,11 +178,11 @@ class OperationGraph:
         to the primary inputs are locked first, and the order is deterministic
         for a given design.
         """
-        acyclic = self._acyclic_view()
         order: Dict[int, int] = {}
-        for position, node in enumerate(nx.topological_sort(acyclic)):
-            if isinstance(node, OperationNode):
-                order[node.index] = position
+        for position, node in enumerate(
+                topological_order(acyclic_view(self.graph))):
+            if isinstance(node, int):
+                order[node] = position
         return sorted(self.sites,
                       key=lambda s: (order.get(s.index, len(order)), s.index))
 
@@ -114,42 +193,46 @@ class OperationGraph:
         named signal).  This is the "network of + operations" view of Fig. 4.
         """
         wanted = {site.index for site in self.sites if site.op == operator}
-        projected = nx.Graph()
-        projected.add_nodes_from(wanted)
-        undirected = self.graph.to_undirected(as_view=True)
+        neighbours: Dict[Node, Set[Node]] = {node: set() for node in self.graph}
+        for node, children in self.graph.items():
+            for child in children:
+                neighbours[node].add(child)
+                neighbours[child].add(node)
+        # Symmetric by construction: a shared signal or a direct edge links
+        # both ends.
+        linked: Dict[int, Set[int]] = {index: set() for index in wanted}
         for index in wanted:
-            source = OperationNode(index, operator)
-            if source not in undirected:
+            for neighbour in neighbours.get(index, ()):
+                reach = (neighbours[neighbour] if isinstance(neighbour, str)
+                         else (neighbour,))
+                linked[index].update(wanted.intersection(reach))
+            linked[index].discard(index)
+        components: List[Set[int]] = []
+        seen: Set[int] = set()
+        for start in linked:
+            if start in seen:
                 continue
-            for neighbour in undirected.neighbors(source):
-                targets = self._reachable_ops(neighbour, wanted, operator)
-                for target in targets:
-                    if target != index:
-                        projected.add_edge(index, target)
-        return [set(component) for component in nx.connected_components(projected)]
-
-    def _reachable_ops(self, start, wanted: Set[int], operator: str) -> Set[int]:
-        found: Set[int] = set()
-        if isinstance(start, OperationNode) and start.index in wanted:
-            found.add(start.index)
-            return found
-        if isinstance(start, SignalNode):
-            for neighbour in self.graph.to_undirected(as_view=True).neighbors(start):
-                if isinstance(neighbour, OperationNode) and neighbour.index in wanted:
-                    found.add(neighbour.index)
-        return found
+            component = {start}
+            frontier = [start]
+            while frontier:
+                for other in linked[frontier.pop()]:
+                    if other not in component:
+                        component.add(other)
+                        frontier.append(other)
+            seen |= component
+            components.append(component)
+        return components
 
     def statistics(self) -> Dict[str, float]:
         """Return a dictionary of structural statistics of the dataflow graph."""
-        op_nodes = self.operation_nodes()
-        sig_nodes = self.signal_nodes()
+        sig_nodes = [node for node in self.graph if isinstance(node, str)]
         return {
-            "num_operations": float(len(op_nodes)),
+            "num_operations": float(len(self.graph) - len(sig_nodes)),
             "num_signals": float(len(sig_nodes)),
-            "num_edges": float(self.graph.number_of_edges()),
+            "num_edges": float(sum(map(len, self.graph.values()))),
             "depth": float(self.depth()),
             "avg_fanout": (
-                float(sum(self.graph.out_degree(n) for n in sig_nodes)) / len(sig_nodes)
+                float(sum(len(self.graph[n]) for n in sig_nodes)) / len(sig_nodes)
                 if sig_nodes else 0.0
             ),
         }
@@ -185,24 +268,26 @@ def build_operation_graph(module: ast.Module,
     """
     if sites is None:
         sites = collect_sites(module, key_names)
-    graph = nx.DiGraph()
+    graph: Successors = {}
+
+    def add_edge(source: Node, target: Node) -> None:
+        successors = graph.setdefault(source, {})
+        graph.setdefault(target, {})
+        successors[target] = None
 
     site_by_node: Dict[int, OperationSite] = {id(s.node): s for s in sites}
 
-    def op_node_for(site: OperationSite) -> OperationNode:
-        return OperationNode(site.index, site.op)
-
     # Operation-level edges: operand expressions feed the operation.
     for site in sites:
-        target = op_node_for(site)
-        graph.add_node(target)
+        target = site.index
+        graph.setdefault(target, {})
         for operand in (site.node.left, site.node.right):
             inner_site = site_by_node.get(id(operand))
             if inner_site is not None:
-                graph.add_edge(op_node_for(inner_site), target)
+                add_edge(inner_site.index, target)
                 continue
             for name in _referenced_signals(operand):
-                graph.add_edge(SignalNode(name), target)
+                add_edge(name, target)
 
     # Assignment-level edges: operations and signals feed the assigned signal.
     assignments: List[Tuple[ast.Expression, ast.Expression]] = []
@@ -220,16 +305,15 @@ def build_operation_graph(module: ast.Module,
         target_name = _target_signal(lhs)
         if target_name is None:
             continue
-        target = SignalNode(target_name)
         top_site = site_by_node.get(id(rhs))
         if top_site is not None:
-            graph.add_edge(op_node_for(top_site), target)
+            add_edge(top_site.index, target_name)
         else:
             for node in rhs.iter_tree():
                 inner = site_by_node.get(id(node))
                 if inner is not None:
-                    graph.add_edge(op_node_for(inner), target)
+                    add_edge(inner.index, target_name)
             for name in _referenced_signals(rhs):
-                graph.add_edge(SignalNode(name), target)
+                add_edge(name, target_name)
 
     return OperationGraph(graph, sites, module)

@@ -1,6 +1,9 @@
 """Sanity checks on the public API surface of every subpackage."""
 
 import importlib
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -55,3 +58,21 @@ class TestPublicApi:
             assert isinstance(obj, type)
         for decorator in (register_attack, register_locker, register_metric):
             assert callable(decorator)
+
+    def test_import_loads_no_third_party_package_but_numpy(self):
+        """``import repro`` pulls in nothing beyond the standard library and
+        numpy: the dataflow graph is plain dicts, and a stray graph-library
+        import would only add interpreter start-up time."""
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        probe = (
+            "import sys\n"
+            "def tops(): return {name.split('.')[0] for name in sys.modules}\n"
+            "before = tops()\n"
+            "import repro, repro.cli\n"
+            "added = tops() - before - set(sys.stdlib_module_names)\n"
+            "print(sorted(n for n in added if not n.startswith('__')))\n"
+        )
+        result = subprocess.run([sys.executable, "-c", probe],
+                                env=dict(os.environ, PYTHONPATH=src),
+                                capture_output=True, text=True, check=True)
+        assert result.stdout.strip() == "['numpy', 'repro']"
